@@ -27,8 +27,8 @@ from .geometry import (
     min_perimeter_rectangle,
     min_width,
     polyline_length,
+    support_window,
     unit_normal,
-    unit_vector,
 )
 from .incircle import largest_inscribed_circle, tangent_triangle
 from .steiner import steiner_three_points, steiner_tree
@@ -207,24 +207,34 @@ def _collapse(points, tol: float):
 # U-curves and the strip algorithms A1 / A3
 
 
-def _u_metrics(poly: ConvexPolygon, theta: float):
-    """Contact indices, baseline offset and total length of U(P, theta)."""
-    u = unit_vector(theta)
-    nrm = unit_normal(theta)
-    s = poly.coords @ u
-    t = poly.coords @ nrm
-    eps = poly.tol_geom
-    left = np.nonzero(s <= s.min() + eps)[0]
-    right = np.nonzero(s >= s.max() - eps)[0]
-    i1 = int(left[np.argmin(t[left])])
-    i2 = int(right[np.argmin(t[right])])
-    t0 = float(t.min())
+def _u_lengths(poly: ConvexPolygon, thetas):
+    """Contact indices, baseline offsets and total lengths of U(P, theta)
+    for an array of baselines, as arrays (i1, i2, t0, length).
+
+    With s and t the projections on the baseline direction and its normal,
+    i1 (i2) is the lowest vertex, smallest index on ties, among those
+    within tol_geom of the smallest (largest) s.
+    """
+    th = np.asarray(thetas, dtype=float)
+    c, s = np.cos(th), np.sin(th)
+    # blocks: smallest s, largest s, and smallest t as the largest -t
+    cand, near, proj = (a.reshape(3, len(th), -1) for a in support_window(
+        poly, np.concatenate([-c, c, s]), np.concatenate([-s, s, -c]), poly.tol_geom))
+    t0 = -proj[2].max(axis=1)
+    xy = poly.coords[cand[:2]]
+    tv = np.where(near[:2], xy[..., 0] * -s[:, None] + xy[..., 1] * c[:, None], np.inf)
+    tmin = tv.min(axis=2)
+    i1, i2 = np.where(tv == tmin[..., None], cand[:2], len(poly)).min(axis=2)
     cum = poly.cumulative_lengths
     per = poly.perimeter
-    bottom = (cum[i2] - cum[i1]) % per
-    arc = per - bottom if i1 != i2 else 0.0
-    length = (t[i1] - t0) + (t[i2] - t0) + arc
-    return i1, i2, t0, float(length)
+    arc = np.where(i1 != i2, per - (cum[i2] - cum[i1]) % per, 0.0)
+    return i1, i2, t0, (tmin[0] - t0) + (tmin[1] - t0) + arc
+
+
+def _u_metrics(poly: ConvexPolygon, theta: float):
+    """Contact indices, baseline offset and total length of U(P, theta)."""
+    i1, i2, t0, length = _u_lengths(poly, [theta])
+    return int(i1[0]), int(i2[0]), float(t0[0]), float(length[0])
 
 
 def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
@@ -235,13 +245,10 @@ def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
     """
     theta = canon_oriented_angle(baseline)
     nrm = unit_normal(theta)
-    i1, i2, t0, length = _u_metrics(poly, theta)
+    i1, i2, _, _ = _u_metrics(poly, theta)
     t = poly.coords @ nrm
-    n = len(poly)
-    idx = [i1]
-    while idx[-1] != i2:
-        idx.append((idx[-1] - 1) % n)
-    pts = [poly.vertices[i] for i in idx]
+    t0 = t.min()  # one rounding for the baseline and both drops
+    pts = [poly.vertices[i] for i in (i1 - np.arange((i1 - i2) % len(poly) + 1)) % len(poly)]
     q1 = Point2(*(np.asarray(pts[0]) + (t0 - t[i1]) * nrm))
     q2 = Point2(*(np.asarray(pts[-1]) + (t0 - t[i2]) * nrm))
     poly_pts = _collapse([q1] + pts + [q2], poly.tol_geom)
@@ -253,7 +260,7 @@ def algo_a1(poly: ConvexPolygon) -> BarrierSolution:
     alpha_star, w, strip = min_width(poly)
     phi = strip.direction
     cands = [phi, canon_oriented_angle(phi + math.pi)]
-    lengths = [_u_metrics(poly, th)[3] for th in cands]
+    lengths = _u_lengths(poly, cands)[3]
     theta = cands[int(np.argmin(lengths))]
     curve = u_curve(poly, theta)
     barrier = Barrier((curve.polyline,), "single-arc")
@@ -299,16 +306,11 @@ def algo_a3(poly: ConvexPolygon) -> BarrierSolution:
     d - pi/2 (baseline flush with the edge, or a side line flush with it).
     The minimum over all baselines occurs at one of these.
     """
-    v = poly.coords
-    e = np.roll(v, -1, axis=0) - v
-    dirs = np.arctan2(e[:, 1], e[:, 0])
-    cands = set()
-    for d in dirs:
-        for off in (0.0, math.pi / 2.0, -math.pi / 2.0):
-            cands.add(canon_oriented_angle(float(d) + off))
+    e = np.roll(poly.coords, -1, axis=0) - poly.coords
+    thetas = np.unique(canon_oriented_angle(
+        np.arctan2(e[:, 1], e[:, 0])[:, None] + [0.0, math.pi / 2.0, -math.pi / 2.0]))
     best = None
-    for theta in sorted(cands):
-        length = _u_metrics(poly, theta)[3]
+    for theta, length in zip(thetas.tolist(), _u_lengths(poly, thetas)[3].tolist()):
         if best is None or length < best[0] - 1e-15:
             best = (length, theta)
     curve = u_curve(poly, best[1])
@@ -332,29 +334,17 @@ def algo_a4_candidates(poly: ConvexPolygon):
     alt = x * y / math.hypot(x, y)
     u = (c[1] - c[0]) / x
     nrm = (c[3] - c[0]) / y
-    s = (poly.coords - c[0]) @ u
-    t = (poly.coords - c[0]) @ nrm
-    eps = max(poly.tol_geom, 1e-12 * max(x, y))
-    n = len(poly)
-
-    def contact_run(side):
-        if side == 0:      # bottom, ccw goes +s
-            sel = np.nonzero(t <= t.min() + eps)[0]
-            first, last = sel[np.argmin(s[sel])], sel[np.argmax(s[sel])]
-        elif side == 1:    # right, ccw goes +t
-            sel = np.nonzero(s >= s.max() - eps)[0]
-            first, last = sel[np.argmin(t[sel])], sel[np.argmax(t[sel])]
-        elif side == 2:    # top, ccw goes -s
-            sel = np.nonzero(t >= t.max() - eps)[0]
-            first, last = sel[np.argmax(s[sel])], sel[np.argmin(s[sel])]
-        else:              # left, ccw goes -t
-            sel = np.nonzero(s <= s.min() + eps)[0]
-            first, last = sel[np.argmax(t[sel])], sel[np.argmin(t[sel])]
-        return int(first), int(last)
-
-    runs = [contact_run(k) for k in range(4)]
-    corners = [Point2(*p) for p in c]
     tol = max(poly.tol_geom, 1e-12 * max(x, y))
+    n = len(poly)
+    # first and last vertex, counterclockwise, of the runs touching the
+    # bottom, right, top and left sides (a window may repeat vertices)
+    cand, near, _ = support_window(poly, [-nrm[0], u[0], nrm[0], -u[0]],
+                                   [-nrm[1], u[1], nrm[1], -u[1]], tol)
+    runs = []
+    for row, inside in zip(cand.tolist(), near.tolist()):
+        run = {v for v, f in zip(row, inside) if f}
+        runs.append([next(v for v in run if (v + d) % n not in run) for d in (-1, 1)])
+    corners = [Point2(*p) for p in c]
     out = []
     for k in range(4):
         start = corners[k]
@@ -362,9 +352,7 @@ def algo_a4_candidates(poly: ConvexPolygon):
         opp = corners[(k + 3) % 4]
         i = runs[k][0]
         j = runs[(k + 1) % 4][1]
-        idx = [i]
-        while idx[-1] != j:
-            idx.append((idx[-1] + 1) % n)
+        idx = (i + np.arange((j - i) % n + 1)) % n
         path = _collapse([start] + [poly.vertices[q] for q in idx] + [end], tol)
         foot = _foot_on_segment(opp, start, end)
         polylines = (tuple(path), (opp, foot))

@@ -70,14 +70,12 @@ def canon_line_angle(theta: float) -> float:
     return t
 
 
-def canon_oriented_angle(theta: float) -> float:
-    """Normalize an oriented direction into [0, 2*pi)."""
-    t = math.fmod(theta, TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
-    if t >= TWO_PI - 1e-15:
-        t = 0.0
-    return t
+def canon_oriented_angle(theta):
+    """Normalize an oriented direction, or an array of them, into [0, 2*pi)."""
+    t = np.fmod(theta, TWO_PI)
+    t = np.where(t < 0.0, t + TWO_PI, t)
+    t = np.where(t >= TWO_PI - 1e-15, 0.0, t)
+    return t if t.ndim else float(t)
 
 
 def cross2(a, b):
@@ -156,6 +154,7 @@ class ConvexPolygon:
         self._perimeter: float | None = None
         self._diameter: float | None = None
         self._cum: np.ndarray | None = None
+        self._normal_angles: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -187,10 +186,24 @@ class ConvexPolygon:
         return self._perimeter
 
     @property
+    def normal_angles(self) -> np.ndarray:
+        """Outward edge-normal angles, unwrapped to increase from edge 0's:
+        vertex k is extreme for the directions between entries k-1 and k."""
+        if self._normal_angles is None:
+            e = np.roll(self._coords, -1, axis=0) - self._coords
+            self._normal_angles = np.unwrap(np.arctan2(-e[:, 0], e[:, 1]))
+        return self._normal_angles
+
+    @property
     def diameter(self) -> float:
-        """Largest vertex-to-vertex distance (antipodal two-pointer sweep)."""
+        """Largest vertex-to-vertex distance, over the antipodal pairs."""
         if self._diameter is None:
-            self._diameter = _convex_diameter(self._coords)
+            # the vertices farthest from each edge line, with both endpoints
+            m, _ = self.edge_normals_offsets()
+            far = self._coords[support_window(self, m[:, 0], m[:, 1])[0]]
+            ends = self._coords[(np.arange(len(m))[:, None] + [0, 1]) % len(m)]
+            d = far[:, :, None, :] - ends[:, None, :, :]
+            self._diameter = float(np.hypot(d[..., 0], d[..., 1]).max())
         return self._diameter
 
     @property
@@ -214,32 +227,6 @@ class ConvexPolygon:
         m = np.column_stack([-e[:, 1], e[:, 0]]) / lengths[:, None]
         o = np.einsum("ij,ij->i", m, v)
         return m, o
-
-
-def _convex_diameter(coords: np.ndarray) -> float:
-    n = len(coords)
-    if n == 3:
-        d = np.roll(coords, -1, axis=0) - coords
-        return float(np.hypot(d[:, 0], d[:, 1]).max())
-    best = 0.0
-    j = 1
-    nxt = np.roll(coords, -1, axis=0)
-    edges = nxt - coords
-    for i in range(n):
-        # advance j while the next vertex is farther from edge i
-        while True:
-            jn = (j + 1) % n
-            cur = float(cross2(edges[i], coords[j] - coords[i]))
-            nxtv = float(cross2(edges[i], coords[jn] - coords[i]))
-            if nxtv > cur:
-                j = jn
-            else:
-                break
-        for k in (i, (i + 1) % n):
-            d = float(np.hypot(*(coords[j] - coords[k])))
-            if d > best:
-                best = d
-    return best
 
 
 def _check_polygon(pts: list[Point2]) -> None:
@@ -300,6 +287,34 @@ def width_in_direction(poly: ConvexPolygon, alpha: float) -> float:
     return float(proj.max() - proj.min())
 
 
+def support_window(poly: ConvexPolygon, ux, uy, eps: float = 0.0):
+    """Support oracle: the vertices whose projection x*ux + y*uy is within
+    eps of the largest, for each direction (ux[k], uy[k]).
+
+    Returns (cand, near, proj): a (directions, w) array of vertex indices,
+    the mask of those within eps of the largest, and their projections.
+    A binary search over ``poly.normal_angles`` finds the extreme vertex k
+    in O(log n), up to rounding in the angles.  The window k-2 .. k+2 then
+    widens until no mask reaches its ends, so the largest projection is
+    evaluated exactly; on a strictly convex polygon the masked run is
+    contiguous and, for eps far below the edge lengths, a few vertices long.
+    """
+    ux = np.asarray(ux, dtype=float)[:, None]
+    uy = np.asarray(uy, dtype=float)[:, None]
+    nrm = poly.normal_angles
+    n = len(nrm)
+    k = np.searchsorted(nrm, nrm[0] + np.mod(np.arctan2(uy, ux) - nrm[0], TWO_PI),
+                        side="right")
+    r = 2
+    while True:
+        cand = (k + np.arange(-r, r + 1)) % n
+        proj = poly.coords[cand, 0] * ux + poly.coords[cand, 1] * uy
+        near = proj >= proj.max(axis=1, keepdims=True) - eps
+        if 2 * r + 1 >= n or not (near[:, 0] | near[:, -1]).any():
+            return cand, near, proj
+        r *= 2
+
+
 def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
     """Minimum width over all directions, by edge-flush enumeration.
 
@@ -309,15 +324,14 @@ def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
     canonical angle.
     """
     m, o = poly.edge_normals_offsets()
-    proj = poly.coords @ m.T          # (n_vertices, n_edges)
-    widths = proj.max(axis=0) - o     # distance of farthest vertex to edge line
+    # distance of the farthest vertex to each edge line
+    widths = support_window(poly, m[:, 0], m[:, 1])[2].max(axis=1) - o
     wmin = float(widths.min())
     tol = TOL_AREA_REL * poly.diameter
     candidates = np.nonzero(widths <= wmin + tol)[0]
     # alpha = direction of the inward normal, canonicalized
-    alphas = [canon_line_angle(math.atan2(m[i, 1], m[i, 0])) for i in candidates]
-    k = int(candidates[int(np.argmin(alphas))])
-    alpha_star = canon_line_angle(math.atan2(m[k, 1], m[k, 0]))
+    alpha_star, k = min((canon_line_angle(math.atan2(m[i, 1], m[i, 0])), int(i))
+                        for i in candidates)
     line_dir = canon_line_angle(alpha_star + math.pi / 2.0)
     nrm = unit_normal(line_dir)
     offs = poly.coords @ nrm
@@ -332,32 +346,30 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
     """
     v = poly.coords
     e = np.roll(v, -1, axis=0) - v
-    lens = np.hypot(e[:, 0], e[:, 1])
-    u = e / lens[:, None]
-    best = None
+    u = e / np.hypot(e[:, 0], e[:, 1])[:, None]
+    ux, uy = u[:, 0], u[:, 1]
+    # extents along each edge (s) and its inward normal (t): four supports
+    top = support_window(poly, np.concatenate([ux, -ux, -uy, uy]),
+                         np.concatenate([uy, -uy, ux, -ux]))[2].max(axis=1).reshape(4, -1)
+    pers = ((top[0] + top[1]) + (top[2] + top[3])).tolist()
     tol = TOL_GEOM_REL * poly.diameter
-    for i in range(len(v)):
-        ux, uy = u[i]
-        s = v @ (ux, uy)
-        t = v @ (-uy, ux)
-        dx = float(s.max() - s.min())
-        dy = float(t.max() - t.min())
-        per = dx + dy
-        ang = math.fmod(math.atan2(uy, ux), math.pi / 2.0)
-        if ang < 0.0:
-            ang += math.pi / 2.0
-        key = (per, ang)
-        if best is None or per < best[0][0] - tol or (per < best[0][0] + tol and ang < best[0][1]):
-            best = (key, i, float(s.min()), float(s.max()), float(t.min()), float(t.max()))
-    _, i, s0, s1, t0, t1 = best
-    ux, uy = u[i]
-    uvec = np.array([ux, uy])
-    nvec = np.array([-uy, ux])
-    corners = tuple(
-        Point2(*(s * uvec + t * nvec))
-        for s, t in ((s0, t0), (s1, t0), (s1, t1), (s0, t1))
-    )
-    return OrientedRectangle(corners, s1 - s0, t1 - t0)
+    best, best_ang, k = math.inf, 0.0, 0
+    for i, per in enumerate(pers):
+        # sequential rule: a clear win, or a near tie at a smaller angle
+        if per < best + tol:
+            ang = math.fmod(math.atan2(uy[i], ux[i]), math.pi / 2.0)
+            if ang < 0.0:
+                ang += math.pi / 2.0
+            if per < best - tol or ang < best_ang:
+                best, best_ang, k = per, ang, i
+    # corners from plain projections: far from the origin the oracle's sums
+    # round differently, and corners off by that much can break opacity
+    nvec = np.array([-uy[k], ux[k]])
+    s, t = v @ u[k], v @ nvec
+    lo, hi = (float(s.min()), float(t.min())), (float(s.max()), float(t.max()))
+    corners = tuple(Point2(*(a * u[k] + b * nvec))
+                    for a, b in (lo, (hi[0], lo[1]), hi, (lo[0], hi[1])))
+    return OrientedRectangle(corners, hi[0] - lo[0], hi[1] - lo[1])
 
 
 def project(obj, theta: float) -> Interval:

@@ -137,7 +137,9 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     """
     m, o = poly.edge_normals_offsets()
     touch = sorted(circ.touching_edges)
-    for i, j in itertools.combinations(touch, 2):
+    # m_i @ m_j as written: whether an exactly antipodal pair rounds to -1
+    # depends on how the dot product is evaluated
+    for i, j in _antipodal_candidates(m, touch):
         ang = math.acos(float(np.clip(m[i] @ m[j], -1.0, 1.0)))
         if abs(ang - math.pi) <= TOL_ANG:
             return None
@@ -165,11 +167,24 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     return TangentTriangle(*corners, sides)
 
 
+def _antipodal_candidates(m: np.ndarray, touch: list[int]) -> set[tuple[int, int]]:
+    """Touching-edge pairs (i < j) that can be antipodal: each normal with
+    the two on either side of its antipode in angular order."""
+    idx = np.array(touch)
+    a = np.arctan2(m[idx, 1], m[idx, 0])
+    order = np.argsort(a)
+    a, idx = a[order], idx[order]
+    ext = np.concatenate([a - 2.0 * math.pi, a, a + 2.0 * math.pi])
+    j = (np.searchsorted(ext, a + math.pi)[:, None] + np.arange(-2, 2)) % len(idx)
+    return {(min(p, q), max(p, q))
+            for p, row in zip(idx.tolist(), idx[j].tolist()) for q in row if p != q}
+
+
 def _spanning_triples(m: np.ndarray, touch: list[int], cap: int = 5000):
     """Touching-edge triples whose inward normals positively span the plane."""
     angles = {i: math.atan2(m[i, 1], m[i, 0]) for i in touch}
-    combos = list(itertools.combinations(touch, 3))
-    if len(combos) > cap:
+    combos = itertools.combinations(touch, 3)
+    if math.comb(len(touch), 3) > cap:
         # many co-circular touching edges (near-regular polygon): pick the
         # triple with normals closest to equally spaced; any valid triple is
         # correct, this one just keeps the corner triangle small
