@@ -21,6 +21,7 @@ from .geometry import (
     InconsistentIncircle,
     Point2,
     TOL_ANG,
+    cross2,
 )
 from .steiner import steiner_three_points
 
@@ -137,11 +138,8 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     """
     m, o = poly.edge_normals_offsets()
     touch = sorted(circ.touching_edges)
-    # m_i @ m_j as written: whether an exactly antipodal pair rounds to -1
-    # depends on how the dot product is evaluated
     for i, j in _antipodal_candidates(m, touch):
-        ang = math.acos(float(np.clip(m[i] @ m[j], -1.0, 1.0)))
-        if abs(ang - math.pi) <= TOL_ANG:
+        if m[i] @ m[j] < 0.0 and abs(cross2(m[i], m[j])) <= TOL_ANG:
             return None
 
     triples = _spanning_triples(m, touch)

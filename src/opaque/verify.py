@@ -19,6 +19,10 @@ from .barriers import Barrier
 from .geometry import ConvexPolygon, Interval, TOL_ANG, unit_normal
 
 TOL_COVER_REL = 1e-9
+ROUNDING_COVER = 8.0   # eps * (max |coord| + diameter) units; see tol_cover
+# directions per block in is_opaque: the (directions x points) projections
+# stay near BLOCK * (n + m) * 8 bytes whatever the number of directions
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -36,38 +40,59 @@ class VerificationReport:
 
 
 def tol_cover(poly: ConvexPolygon) -> float:
-    return TOL_COVER_REL * poly.diameter
+    """Widest projection gap that still counts as covered: TOL_COVER_REL *
+    diameter plus rounding.  A projection x*(-sin) + y*cos with rounded sin
+    and cos is off by at most 3u(|x| + |y|) <= 3*eps*M for coordinates
+    bounded by M (u = eps/2), so a gap between two is off by at most
+    6*eps*M; barrier points lie within a diameter of the polygon, so M is
+    max |coord| + diameter.  ROUNDING_COVER = 8 covers that and the
+    comparison."""
+    mag = float(np.abs(poly.coords).max()) + poly.diameter
+    return TOL_COVER_REL * poly.diameter + ROUNDING_COVER * np.finfo(float).eps * mag
 
 
 def projections_cover(poly: ConvexPolygon, barrier: Barrier, theta: float
                       ) -> tuple[bool, Interval | None]:
     """Does the union of polyline projections cover the polygon projection?
 
-    Each connected polyline projects to one interval.  Returns the first
-    uncovered sub-interval when coverage fails.
+    Returns the first uncovered sub-interval when coverage fails.
     """
-    nrm = unit_normal(theta)
-    pproj = poly.coords @ nrm
-    plo, phi = float(pproj.min()), float(pproj.max())
-    tol = tol_cover(poly)
-    ivals = []
-    for pl in barrier.polylines:
-        proj = np.asarray(pl, dtype=float) @ nrm
-        ivals.append((float(proj.min()), float(proj.max())))
-    ivals.sort()
-    cursor = plo
-    for lo, hi in ivals:
-        if lo > cursor + tol:
-            gap_hi = min(lo, phi)
-            if gap_hi > cursor + tol:
-                return False, Interval(cursor, gap_hi)
-            return True, None
-        cursor = max(cursor, hi)
-        if cursor >= phi - tol:
-            return True, None
-    if cursor >= phi - tol:
+    lo, hi = _first_gaps(poly, barrier, np.array([theta]))
+    if math.isnan(lo[0]):
         return True, None
-    return False, Interval(cursor, phi)
+    return False, Interval(float(lo[0]), float(hi[0]))
+
+
+def _first_gaps(poly: ConvexPolygon, barrier: Barrier, thetas: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """First uncovered sub-interval (lo, hi) of the polygon's projection
+    for each direction; NaN where the barrier covers it.
+
+    Each connected polyline projects to one interval.  Sorted by lower
+    end, the intervals cover the polygon's [plo, phi] iff no gap between
+    the running reach of the earlier ones (or plo) and the next lower end
+    (or phi) is wider than tol_cover.
+    """
+    pl_pts = [np.asarray(pl, dtype=float) for pl in barrier.polylines]
+    starts = np.cumsum([0] + [len(p) for p in pl_pts[:-1]])
+    nrm = np.column_stack([-np.sin(thetas), np.cos(thetas)])       # (D, 2)
+    pproj = nrm @ poly.coords.T                                     # (D, n)
+    plo, phi = pproj.min(axis=1), pproj.max(axis=1)
+    proj = nrm @ np.concatenate(pl_pts).T                           # (D, m)
+    lo = np.minimum.reduceat(proj, starts, axis=1)                  # (D, k)
+    hi = np.maximum.reduceat(proj, starts, axis=1)
+    del pproj, proj                    # before the (D, k) arrays: peak memory
+    order = np.argsort(lo, axis=1)
+    gap_lo = np.maximum.accumulate(
+        np.column_stack([plo, np.take_along_axis(hi, order, axis=1)]), axis=1)
+    gap_hi = np.minimum(np.column_stack([np.take_along_axis(lo, order, axis=1), phi]),
+                        phi[:, None])
+    fail = gap_hi > gap_lo + tol_cover(poly)                        # (D, k + 1)
+    first = fail.argmax(axis=1)
+    rows = np.arange(len(thetas))
+    covered = ~fail[rows, first]
+    return (np.where(covered, np.nan, gap_lo[rows, first]),
+            np.where(covered, np.nan, gap_hi[rows, first]))
 
 
 def critical_directions(poly: ConvexPolygon, barrier: Barrier) -> list[float]:
@@ -95,61 +120,24 @@ def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
 
     Tests every critical direction and the midpoint of every gap between
     circularly consecutive criticals (where the projected-endpoint ordering,
-    and hence coverage, cannot change).
+    and hence coverage, cannot change), BLOCK directions at a time.  The
+    witness is the widest uncovered gap, the first such direction on ties.
     """
-    crits = critical_directions(poly, barrier)
-    if not crits:
-        crits = [0.0]
-    thetas = list(crits)
-    for a, b in zip(crits, crits[1:]):
-        thetas.append((a + b) / 2.0)
-    thetas.append(math.fmod((crits[-1] + crits[0] + math.pi) / 2.0, math.pi))
-    thetas.sort()
-
-    ok = _covered_mask(poly, barrier, np.array(thetas))
-    if bool(ok.all()):
+    crits = np.array(critical_directions(poly, barrier) or [0.0])
+    wrap = math.fmod((crits[-1] + crits[0] + math.pi) / 2.0, math.pi)
+    thetas = np.sort(np.concatenate([crits, (crits[:-1] + crits[1:]) / 2.0, [wrap]]))
+    best, best_width = None, 0.0
+    for start in range(0, len(thetas), BLOCK):
+        lo, hi = _first_gaps(poly, barrier, thetas[start:start + BLOCK])
+        width = np.nan_to_num(hi - lo)
+        k = int(width.argmax())
+        if width[k] > best_width:
+            best_width = width[k]
+            best = (float(thetas[start + k]), Interval(float(lo[k]), float(hi[k])))
+    if best is None:
         return VerificationReport(True, None, len(thetas))
-    best = None
-    for bad in np.nonzero(~ok)[0]:
-        theta = thetas[int(bad)]
-        covered, gap = projections_cover(poly, barrier, theta)
-        if not covered and (best is None or gap.length > best[1].length):
-            best = (theta, gap)
-    if best is not None:
-        theta, gap = best
-        rep = (gap.lo + gap.hi) / 2.0
-        return VerificationReport(False, Witness(theta, gap, rep), len(thetas))
-    # the batched predicate flagged a borderline direction that the exact
-    # per-direction sweep accepts; treat as covered
-    return VerificationReport(True, None, len(thetas))
-
-
-def _covered_mask(poly: ConvexPolygon, barrier: Barrier, thetas: np.ndarray
-                  ) -> np.ndarray:
-    """Vectorized coverage predicate over many directions."""
-    nrm = np.column_stack([-np.sin(thetas), np.cos(thetas)])  # (D, 2)
-    pproj = nrm @ poly.coords.T                               # (D, n)
-    plo = pproj.min(axis=1)
-    phi = pproj.max(axis=1)
-    tol = tol_cover(poly)
-    los, his = [], []
-    for pl in barrier.polylines:
-        proj = nrm @ np.asarray(pl, dtype=float).T
-        los.append(proj.min(axis=1))
-        his.append(proj.max(axis=1))
-    lo = np.column_stack(los)                                 # (D, k)
-    hi = np.column_stack(his)
-    order = np.argsort(lo, axis=1)
-    lo = np.take_along_axis(lo, order, axis=1)
-    hi = np.take_along_axis(hi, order, axis=1)
-    reach = np.maximum.accumulate(hi, axis=1)
-    ok = lo[:, 0] <= plo + tol
-    for m in range(1, lo.shape[1]):
-        gap_lo = np.maximum(reach[:, m - 1], plo)
-        gap_hi = np.minimum(lo[:, m], phi)
-        ok &= gap_hi <= gap_lo + tol
-    ok &= reach[:, -1] >= phi - tol
-    return ok
+    theta, gap = best
+    return VerificationReport(False, Witness(theta, gap, (gap.lo + gap.hi) / 2.0), len(thetas))
 
 
 def blocking_margin(poly: ConvexPolygon, barrier: Barrier, alpha: float) -> float:

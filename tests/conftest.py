@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opaque import random_convex_polygon, validate_polygon
+from opaque import Barrier, random_convex_polygon, validate_polygon
 
 RATIO_SEED = 12345
 RATIO_COUNT = 1000
@@ -54,3 +54,21 @@ def regular_ngon(n, r=1.0):
     return validate_polygon([
         (r * math.cos(2 * math.pi * k / n), r * math.sin(2 * math.pi * k / n))
         for k in range(n)])
+
+
+def truncated(poly, barrier):
+    """Prefix of the barrier's polylines, in order, of 0.8 times the
+    half-perimeter lower bound, so never opaque."""
+    target, acc, out = 0.4 * poly.perimeter, 0.0, []
+    for pl in barrier.polylines:
+        cur = [pl[0]]
+        for a, b in zip(pl[:-1], pl[1:]):
+            seg = math.dist(a, b)
+            if acc + seg >= target:
+                t = (target - acc) / seg
+                out.append(tuple(cur) + ((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])),))
+                return Barrier(tuple(out), "arbitrary")
+            acc += seg
+            cur.append(b)
+        out.append(tuple(cur))
+    return Barrier(tuple(out), "arbitrary")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opaque import (
+    algo_a2,
     largest_inscribed_circle,
     min_width,
     tangent_triangle,
@@ -92,6 +93,16 @@ class TestTangentTriangle:
     def test_rectangle_has_none(self):
         poly = validate_polygon([(0, 0), (3, 0), (3, 1), (0, 1)])
         assert tangent_triangle(poly, largest_inscribed_circle(poly)) is None
+
+    def test_rotated_rectangle_antipodal_pair(self):
+        # the long sides' normals are antipodal up to rounding; their dot
+        # product rounds to -1 for only some rotations
+        for k in range(200):
+            c, s = math.cos(0.0157 * k), math.sin(0.0157 * k)
+            poly = validate_polygon([(c * x - s * y, s * x + c * y)
+                                     for x, y in ((0, 0), (2, 0), (2, 1), (0, 1))])
+            assert tangent_triangle(poly, largest_inscribed_circle(poly)) is None
+            assert algo_a2(poly).length == pytest.approx(4.0, rel=1e-12)
 
     def test_equilateral_is_itself(self):
         poly = validate_polygon([(0, 0), (1, 0), (0.5, SQRT3 / 2)])

@@ -181,7 +181,7 @@ def test_shape_matches_reference(name):
 
 
 def _antipodal(m, pairs):
-    return any(abs(math.acos(float(np.clip(m[i] @ m[j], -1.0, 1.0))) - math.pi) <= TOL_ANG
+    return any(m[i] @ m[j] < 0.0 and abs(float(cross2(m[i], m[j]))) <= TOL_ANG
                for i, j in pairs)
 
 

@@ -15,10 +15,14 @@ from opaque import (
     is_opaque,
     make_fixture,
     projections_cover,
+    random_convex_polygon,
     sampling_oracle,
     validate_polygon,
 )
+from opaque.geometry import PolygonError
 from opaque.verify import tol_cover
+
+from conftest import truncated
 
 
 def boundary_barrier(poly):
@@ -136,6 +140,37 @@ class TestIsOpaque:
     def test_single_segment_never_opaque(self, square):
         b = Barrier(((Point2(0, 0), Point2(1, 1)),), "single-arc")
         assert not is_opaque(square, b).opaque
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e9])
+def test_far_translated_hulls(shift):
+    # projections of coordinates near shift * diameter round by about
+    # eps * shift * diameter, which tol_cover's rounding term absorbs
+    rng = np.random.default_rng(7)
+    direction = np.array([math.cos(1.0), math.sin(1.0)])
+    kept = 0
+    for _ in range(165):
+        base = random_convex_polygon(int(rng.integers(3, 30)), rng)
+        try:
+            poly = validate_polygon(base.coords + shift * base.diameter * direction)
+        except PolygonError:
+            continue
+        kept += 1
+        for method in (algo_a1, algo_a3, algo_a4, interior_single_arc):
+            barrier = method(poly).barrier
+            assert is_opaque(poly, barrier).opaque
+            mutant = truncated(poly, barrier)
+            report = is_opaque(poly, mutant)
+            assert not report.opaque
+            w = report.witness
+            nrm = np.array([-math.sin(w.theta), math.cos(w.theta)])
+            tol = tol_cover(poly)
+            pproj = poly.coords @ nrm
+            assert pproj.min() + tol < w.representative_offset < pproj.max() - tol
+            for a, b in mutant.segments():
+                lo, hi = sorted((float(np.array(a) @ nrm), float(np.array(b) @ nrm)))
+                assert not lo - tol < w.representative_offset < hi + tol
+    assert kept >= 80
 
 
 class TestBlockingMargin:
