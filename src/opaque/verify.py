@@ -20,8 +20,8 @@ from .geometry import ConvexPolygon, Interval, TOL_ANG, unit_normal
 
 TOL_COVER_REL = 1e-9
 ROUNDING_COVER = 8.0   # eps * (max |coord| + diameter) units; see tol_cover
-# directions per block in is_opaque: the (directions x points) projections
-# stay near BLOCK * (n + m) * 8 bytes whatever the number of directions
+# directions per block in is_opaque: the (points x directions) projections
+# stay near (n + m) * BLOCK * 8 bytes whatever the number of directions
 BLOCK = 4096
 
 
@@ -73,26 +73,23 @@ def _first_gaps(poly: ConvexPolygon, barrier: Barrier, thetas: np.ndarray
     the running reach of the earlier ones (or plo) and the next lower end
     (or phi) is wider than tol_cover.
     """
-    pl_pts = [np.asarray(pl, dtype=float) for pl in barrier.polylines]
-    starts = np.cumsum([0] + [len(p) for p in pl_pts[:-1]])
-    nrm = np.column_stack([-np.sin(thetas), np.cos(thetas)])       # (D, 2)
-    pproj = nrm @ poly.coords.T                                     # (D, n)
-    plo, phi = pproj.min(axis=1), pproj.max(axis=1)
-    proj = nrm @ np.concatenate(pl_pts).T                           # (D, m)
-    lo = np.minimum.reduceat(proj, starts, axis=1)                  # (D, k)
-    hi = np.maximum.reduceat(proj, starts, axis=1)
-    del pproj, proj                    # before the (D, k) arrays: peak memory
-    order = np.argsort(lo, axis=1)
+    nrm = np.vstack([-np.sin(thetas), np.cos(thetas)])             # (2, D)
+    pproj = poly.coords @ nrm                                       # (n, D)
+    plo, phi = pproj.min(axis=0), pproj.max(axis=0)
+    projs = [np.asarray(pl, dtype=float) @ nrm for pl in barrier.polylines]
+    lo = np.array([q.min(axis=0) for q in projs])                   # (k, D)
+    hi = np.array([q.max(axis=0) for q in projs])
+    del pproj, projs                   # free before the (k, D) work: peak memory
+    order = np.argsort(lo, axis=0)
     gap_lo = np.maximum.accumulate(
-        np.column_stack([plo, np.take_along_axis(hi, order, axis=1)]), axis=1)
-    gap_hi = np.minimum(np.column_stack([np.take_along_axis(lo, order, axis=1), phi]),
-                        phi[:, None])
-    fail = gap_hi > gap_lo + tol_cover(poly)                        # (D, k + 1)
-    first = fail.argmax(axis=1)
-    rows = np.arange(len(thetas))
-    covered = ~fail[rows, first]
-    return (np.where(covered, np.nan, gap_lo[rows, first]),
-            np.where(covered, np.nan, gap_hi[rows, first]))
+        np.vstack([plo, np.take_along_axis(hi, order, axis=0)]), axis=0)
+    gap_hi = np.minimum(np.vstack([np.take_along_axis(lo, order, axis=0), phi]), phi)
+    fail = gap_hi > gap_lo + tol_cover(poly)                        # (k + 1, D)
+    first = fail.argmax(axis=0)
+    cols = np.arange(len(thetas))
+    covered = ~fail[first, cols]
+    return (np.where(covered, np.nan, gap_lo[first, cols]),
+            np.where(covered, np.nan, gap_hi[first, cols]))
 
 
 def critical_directions(poly: ConvexPolygon, barrier: Barrier) -> list[float]:
@@ -129,7 +126,7 @@ def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     best, best_width = None, 0.0
     for start in range(0, len(thetas), BLOCK):
         lo, hi = _first_gaps(poly, barrier, thetas[start:start + BLOCK])
-        width = np.nan_to_num(hi - lo)
+        width = np.fmax(hi - lo, 0.0)                               # NaN -> 0
         k = int(width.argmax())
         if width[k] > best_width:
             best_width = width[k]
