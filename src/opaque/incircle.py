@@ -21,6 +21,7 @@ from .geometry import (
     InconsistentIncircle,
     Point2,
     TOL_ANG,
+    TOL_TOUCH_REL,
     cross2,
 )
 from .steiner import steiner_three_points
@@ -138,8 +139,11 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     """
     m, o = poly.edge_normals_offsets()
     touch = sorted(circ.touching_edges)
+    # a pair tilted by at most TOL_TOUCH_REL from antiparallel moves apart
+    # by at most tol_touch across the polygon, the slack that let both
+    # edges count as touching, so it is antipodal at that resolution
     for i, j in _antipodal_candidates(m, touch):
-        if m[i] @ m[j] < 0.0 and abs(cross2(m[i], m[j])) <= TOL_ANG:
+        if m[i] @ m[j] < 0.0 and abs(cross2(m[i], m[j])) <= TOL_TOUCH_REL:
             return None
 
     triples = _spanning_triples(m, touch)

@@ -41,12 +41,15 @@ class VerificationReport:
 
 def tol_cover(poly: ConvexPolygon) -> float:
     """Widest projection gap that still counts as covered: TOL_COVER_REL *
-    diameter plus rounding.  A projection x*(-sin) + y*cos with rounded sin
-    and cos is off by at most 3u(|x| + |y|) <= 3*eps*M for coordinates
-    bounded by M (u = eps/2), so a gap between two is off by at most
-    6*eps*M; barrier points lie within a diameter of the polygon, so M is
-    max |coord| + diameter.  ROUNDING_COVER = 8 covers that and the
-    comparison."""
+    diameter plus rounding.  With u = eps/2, a projection fl(-x*s + y*c)
+    is off by at most 2u(|x| + |y|) <= 2*eps*M for coordinates bounded by
+    M (two rounded products and a rounded sum), so a gap between two
+    projections is off by at most 4*eps*M; barrier points lie within a
+    diameter of the polygon, so M is max |coord| + diameter.  The rounded
+    (s, c) is one normal shared by every point of the direction, so its
+    error moves a gap only by about u times the distance between the two
+    points, at most 3 diameters.  ROUNDING_COVER = 8 is a conservative
+    cover for both terms and the comparison."""
     mag = float(np.abs(poly.coords).max()) + poly.diameter
     return TOL_COVER_REL * poly.diameter + ROUNDING_COVER * np.finfo(float).eps * mag
 

@@ -95,14 +95,22 @@ class TestTangentTriangle:
         assert tangent_triangle(poly, largest_inscribed_circle(poly)) is None
 
     def test_rotated_rectangle_antipodal_pair(self):
-        # the long sides' normals are antipodal up to rounding; their dot
-        # product rounds to -1 for only some rotations
-        for k in range(200):
-            c, s = math.cos(0.0157 * k), math.sin(0.0157 * k)
-            poly = validate_polygon([(c * x - s * y, s * x + c * y)
-                                     for x, y in ((0, 0), (2, 0), (2, 1), (0, 1))])
-            assert tangent_triangle(poly, largest_inscribed_circle(poly)) is None
-            assert algo_a2(poly).length == pytest.approx(4.0, rel=1e-12)
+        # the long sides' normals are antipodal up to rounding (their dot
+        # product rounds to -1 for only some rotations), or up to a tilt of
+        # one long side far below the touching tolerance, whichever end is
+        # raised; a2 falls back to the a1 barrier
+        shapes = [(0.0, ((0, 0), (2, 0), (2, 1), (0, 1)))]
+        for tilt in (1e-10, 1e-9, 5e-8):
+            lift = 2.0 * math.tan(tilt)
+            shapes += [(lift, ((0, 0), (2, 0), (2, 1), (0, 1 + lift))),
+                       (lift, ((0, 0), (2, 0), (2, 1 + lift), (0, 1)))]
+        for lift, corners in shapes:
+            for k in range(0, 200, 5 if lift else 1):
+                c, s = math.cos(0.0157 * k), math.sin(0.0157 * k)
+                poly = validate_polygon([(c * x - s * y, s * x + c * y)
+                                         for x, y in corners])
+                assert tangent_triangle(poly, largest_inscribed_circle(poly)) is None
+                assert algo_a2(poly).length == pytest.approx(4.0 + lift, rel=1e-12)
 
     def test_equilateral_is_itself(self):
         poly = validate_polygon([(0, 0), (1, 0), (0.5, SQRT3 / 2)])

@@ -17,9 +17,9 @@ import pytest
 from opaque import algo_a3, make_fixture, min_perimeter_rectangle, min_width, validate_polygon
 from opaque.barriers import _u_lengths, _u_metrics
 from opaque.geometry import (
-    TOL_ANG,
     TOL_AREA_REL,
     TOL_GEOM_REL,
+    TOL_TOUCH_REL,
     canon_line_angle,
     canon_oriented_angle,
     cross2,
@@ -181,7 +181,9 @@ def test_shape_matches_reference(name):
 
 
 def _antipodal(m, pairs):
-    return any(m[i] @ m[j] < 0.0 and abs(float(cross2(m[i], m[j]))) <= TOL_ANG
+    # the normals' angles differ by pi within TOL_TOUCH_REL
+    a = np.arctan2(m[:, 1], m[:, 0])
+    return any(abs(abs(math.remainder(a[i] - a[j], 2.0 * math.pi)) - math.pi) <= TOL_TOUCH_REL
                for i, j in pairs)
 
 
@@ -191,6 +193,8 @@ def test_antipodal_candidates_match_all_pairs(ratio_polys):
     polys = list(ratio_polys[::50]) + [regular_ngon(n) for n in (3, 4, 5, 6, 7, 8, 64, 65)]
     polys += [_rotated([(0, 0), (2, 0), (2, 1), (0, 1)], 0.0157 * k) for k in range(40)]
     polys += [_rotated(regular_ngon(12).vertices, 0.05 * k) for k in range(20)]
+    polys += [_rotated([(0, 0), (2, 0), (2, 1), (0, 1 + lift)], 0.31 * k)
+              for lift in (2e-10, -2e-9, 1e-7, 3e-7, -1e-6) for k in range(10)]
     for poly in polys:
         m, _ = poly.edge_normals_offsets()
         touch = list(range(len(poly)))
