@@ -31,7 +31,7 @@ from .geometry import (
     unit_normal,
 )
 from .incircle import largest_inscribed_circle, tangent_triangle
-from .steiner import steiner_three_points, steiner_tree
+from .steiner import steiner_tree
 
 KINDS = ("single-arc", "connected", "arbitrary")
 
@@ -274,29 +274,14 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
     tri = tangent_triangle(poly, circ)
     extras = {"b3_length": None}
     if tri is not None:
-        sp, b3_len = steiner_three_points(*tri.corners)
+        nodes, edges, b3_len, _ = steiner_tree(tri.corners)
         extras["b3_length"] = b3_len
         if b3_len < a1.length:
-            if sp is not None:
-                polylines = tuple((c, sp) for c in tri.corners)
-            else:
-                order = _two_shortest_path(tri.corners)
-                polylines = (tuple(order),)
+            polylines = tuple((nodes[i], nodes[j]) for i, j in edges)
             barrier = Barrier(polylines, "connected")
             return _solution(poly, barrier, "a2", extras)
     return BarrierSolution(a1.barrier, a1.length, a1.lower_bound, "a2",
                            a1.ratio, extras)
-
-
-def _two_shortest_path(corners):
-    """Path through the wide-angle vertex (degenerate Fermat star)."""
-    best = None
-    for mid in range(3):
-        a, b = corners[(mid + 1) % 3], corners[(mid + 2) % 3]
-        length = math.dist(a, corners[mid]) + math.dist(b, corners[mid])
-        if best is None or length < best[0]:
-            best = (length, [a, corners[mid], b])
-    return best[1]
 
 
 def algo_a3(poly: ConvexPolygon) -> BarrierSolution:

@@ -1,6 +1,6 @@
 """Euclidean Steiner constructions: three-point Fermat stars, minimum
-spanning trees, an exact four-terminal solver, and a star-merging
-heuristic for larger terminal sets in convex position.
+spanning trees, an exact four-terminal solver (Melzak's construction), and
+a star-merging heuristic for larger terminal sets in convex position.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import squareform, pdist
 
-from .geometry import Point2, cross2
+from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, Point2, cross2
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -24,24 +24,30 @@ def steiner_three_points(a, b, c) -> tuple[Point2 | None, float]:
     """Steiner minimal tree of three points.
 
     All angles below 2*pi/3: returns the Fermat-Torricelli star point and
-    the star length sqrt(x^2 + y^2 - 2*x*y*cos(angle + pi/3)).  A wide
-    angle degenerates the tree to the two edges at that vertex (no star
-    point).  Collinear input returns the longest point-to-point span.
+    the star length.  A wide angle degenerates the tree to the two edges at
+    that vertex, and collinear input to the span through the middle point;
+    both return no star point.
     """
+    f, on = _fermat(a, b, c)
+    length = sum(math.dist(f, q) for q in (a, b, c))
+    return (f if on is None else None), length
+
+
+def _fermat(a, b, c) -> tuple[Point2, int | None]:
+    """Point minimizing total distance to three points, and the index of
+    the point it sits on (the vertex with angle >= 2*pi/3, or the middle of
+    collinear points), None when it is the Simpson-line intersection."""
     p = np.array([a, b, c], dtype=float)
     d = [math.dist(p[1], p[2]), math.dist(p[2], p[0]), math.dist(p[0], p[1])]
     scale = max(d)
     area2 = float(cross2(p[1] - p[0], p[2] - p[0]))
-    if abs(area2) <= 1e-12 * scale * scale:
-        return None, scale
-    wide = _wide_vertex(p, d)
-    if wide is not None:
-        return None, d[(wide + 1) % 3] + d[(wide + 2) % 3]
-    # length from the formula at vertex 0 (adjacent sides d[1], d[2])
-    ang0 = _vertex_angle(p, 0)
-    x, y = d[1], d[2]
-    length = math.sqrt(x * x + y * y - 2.0 * x * y * math.cos(ang0 + math.pi / 3.0))
-    return _fermat_construction(p), length
+    if abs(area2) <= TOL_AREA_REL * scale * scale:
+        on = int(np.argmax(d))  # collinear: middle point is opposite longest span
+    else:
+        on = _wide_vertex(p)
+    if on is not None:
+        return _pt(p[on]), on
+    return _fermat_construction(p), None
 
 
 def _vertex_angle(p: np.ndarray, i: int) -> float:
@@ -51,10 +57,10 @@ def _vertex_angle(p: np.ndarray, i: int) -> float:
     return math.acos(max(-1.0, min(1.0, cosv)))
 
 
-def _wide_vertex(p: np.ndarray, d) -> int | None:
+def _wide_vertex(p: np.ndarray) -> int | None:
     """Index of a vertex with angle >= 2*pi/3, if any."""
     for i in range(3):
-        if _vertex_angle(p, i) >= _TWO_THIRDS_PI - 1e-12:
+        if _vertex_angle(p, i) >= _TWO_THIRDS_PI - TOL_ANG:
             return i
     return None
 
@@ -74,6 +80,8 @@ def _fermat_construction(p: np.ndarray) -> Point2:
 
 
 def _outward_apex(q: np.ndarray, r: np.ndarray, opposite: np.ndarray) -> np.ndarray:
+    """Apex of the equilateral triangle on qr, on the side away from
+    `opposite`."""
     mid = (q + r) / 2.0
     h = math.sqrt(3.0) / 2.0
     e = r - q
@@ -82,30 +90,6 @@ def _outward_apex(q: np.ndarray, r: np.ndarray, opposite: np.ndarray) -> np.ndar
     if float((apex - mid) @ (opposite - mid)) > 0.0:
         apex = mid - h * n
     return apex
-
-
-def fermat_point(a, b, c) -> Point2:
-    """Point minimizing total distance to three points (may be one of them)."""
-    p = np.array([a, b, c], dtype=float)
-    d = [math.dist(p[1], p[2]), math.dist(p[2], p[0]), math.dist(p[0], p[1])]
-    scale = max(d)
-    if scale == 0.0:
-        return _pt(p[0])
-    area2 = float(cross2(p[1] - p[0], p[2] - p[0]))
-    if abs(area2) <= 1e-12 * scale * scale:
-        # collinear: the middle point minimizes
-        axis = p[:, 0] if np.ptp(p[:, 0]) >= np.ptp(p[:, 1]) else p[:, 1]
-        return _pt(p[int(np.argsort(axis)[1])])
-    wide = _wide_vertex(p, d)
-    if wide is not None:
-        return _pt(p[wide])
-    return _fermat_construction(p)
-
-
-def fermat_total(a, b, c) -> float:
-    """Minimum total distance from one junction point to three points."""
-    f = fermat_point(a, b, c)
-    return math.dist(f, a) + math.dist(f, b) + math.dist(f, c)
 
 
 def euclidean_mst(points) -> tuple[list[tuple[int, int]], float]:
@@ -134,43 +118,33 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
     if n == 2:
         return pts, [(0, 1)], math.dist(pts[0], pts[1]), True
     if n == 3:
-        sp, length = steiner_three_points(*pts)
-        if sp is None:
-            wide = _star_center_index(pts)
-            edges = [(wide, (wide + 1) % 3), (wide, (wide + 2) % 3)]
-            return pts, edges, length, True
-        return pts + [sp], [(3, 0), (3, 1), (3, 2)], length, True
+        f, on = _fermat(*pts)
+        length = sum(math.dist(f, q) for q in pts)
+        if on is not None:
+            return pts, [(on, (on + 1) % 3), (on, (on + 2) % 3)], length, True
+        return pts + [f], [(3, 0), (3, 1), (3, 2)], length, True
     if n == 4:
         return _steiner_four(pts)
     return _steiner_heuristic(pts)
 
 
-def _star_center_index(pts) -> int:
-    p = np.array(pts, dtype=float)
-    d = [math.dist(p[1], p[2]), math.dist(p[2], p[0]), math.dist(p[0], p[1])]
-    w = _wide_vertex(p, d)
-    if w is not None:
-        return w
-    return int(np.argmax(d))  # collinear: middle point is opposite longest span
-
-
 def _steiner_four(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
-    best_nodes, best_edges, best_len = _mst_as_tree(pts)
+    best_edges, best_len = euclidean_mst(pts)
+    best_nodes = list(pts)
     diam = max(math.dist(a, b) for a in pts for b in pts)
 
-    # full topologies: two junctions, one per terminal pair
+    # full topologies ab|cd by Melzak's construction: e1 (e2) is the outward
+    # equilateral apex on ab (cd), and each junction is the Fermat point of
+    # its terminal pair and the other side's apex.  The length is measured on
+    # the constructed nodes, so an invalid construction only loses.
+    arr = np.array(pts, dtype=float)
     for pair1, pair2 in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        a, b = pts[pair1[0]], pts[pair1[1]]
-        c, d = pts[pair2[0]], pts[pair2[1]]
-        s1 = _pt(((a.x + b.x) / 2.0, (a.y + b.y) / 2.0))
-        s2 = _pt(((c.x + d.x) / 2.0, (c.y + d.y) / 2.0))
-        for _ in range(20000):
-            n1 = fermat_point(a, b, s2)
-            n2 = fermat_point(c, d, n1)
-            move = max(math.dist(n1, s1), math.dist(n2, s2))
-            s1, s2 = n1, n2
-            if move < 1e-12 * diam:
-                break
+        a, b = arr[list(pair1)]
+        c, d = arr[list(pair2)]
+        e1 = _outward_apex(a, b, (c + d) / 2.0)
+        e2 = _outward_apex(c, d, (a + b) / 2.0)
+        s1, _ = _fermat(a, b, e2)
+        s2, _ = _fermat(c, d, e1)
         length = (math.dist(a, s1) + math.dist(b, s1) + math.dist(s1, s2)
                   + math.dist(c, s2) + math.dist(d, s2))
         if length < best_len:
@@ -196,7 +170,7 @@ def _steiner_four(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool
 
 def _drop_degenerate(nodes, edges, diam):
     """Collapse zero-length edges produced when a junction lands on a node."""
-    tol = 1e-9 * diam
+    tol = TOL_GEOM_REL * diam
     alias = list(range(len(nodes)))
 
     def find(i):
@@ -216,14 +190,9 @@ def _drop_degenerate(nodes, edges, diam):
     return out
 
 
-def _mst_as_tree(pts):
-    edges, length = euclidean_mst(pts)
-    return list(pts), edges, length
-
-
 def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
-    nodes, edges, _ = _mst_as_tree(pts)
-    diam = 0.0
+    nodes = list(pts)
+    edges, _ = euclidean_mst(pts)
     arr = np.array(pts, dtype=float)
     diam = float(np.hypot(*(arr.max(axis=0) - arr.min(axis=0))))
     adj: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
@@ -239,21 +208,21 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
                 for bi in range(ai + 1, len(nbrs)):
                     v, w = nbrs[ai], nbrs[bi]
                     cur = math.dist(nodes[u], nodes[v]) + math.dist(nodes[u], nodes[w])
-                    new = fermat_total(nodes[u], nodes[v], nodes[w])
+                    center, _ = _fermat(nodes[u], nodes[v], nodes[w])
+                    new = sum(math.dist(center, nodes[k]) for k in (u, v, w))
                     gain = cur - new
                     if gain > 1e-12 * diam and (best is None or gain > best[0]):
-                        best = (gain, u, v, w)
+                        best = (gain, u, v, w, center)
         if best is None:
             break
-        _, u, v, w = best
-        center = fermat_point(nodes[u], nodes[v], nodes[w])
+        _, u, v, w, center = best
         adj[u].discard(v)
         adj[v].discard(u)
         adj[u].discard(w)
         adj[w].discard(u)
         cid = None
         for k in (u, v, w):
-            if math.dist(center, nodes[k]) <= 1e-9 * diam:
+            if math.dist(center, nodes[k]) <= TOL_GEOM_REL * diam:
                 cid = k
                 break
         if cid is None:

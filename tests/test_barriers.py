@@ -157,6 +157,31 @@ class TestAlgoA2:
         assert sol.extras["b3_length"] == pytest.approx(SQRT3, abs=1e-9)
         assert is_opaque(poly, sol.barrier).opaque
 
+    @pytest.mark.parametrize("wide_deg", [125, 135, 150, 165])
+    def test_wide_tangent_triangle(self, wide_deg):
+        # The tangent triangle is the triangle itself, and its Steiner tree
+        # is the two sides at the wide vertex.  a1's U-curve on the longest
+        # side is the same two sides, so the two candidates tie and rounding
+        # picks one; either way the barrier is those two sides.
+        wide = math.radians(wide_deg)
+        connected = 0
+        for k in range(12):
+            t = 0.5 * k
+            v, a, b = (0.0, 0.0), (math.cos(t), math.sin(t)), (math.cos(t + wide), math.sin(t + wide))
+            poly = validate_polygon([v, a, b])
+            sol = algo_a2(poly)
+            assert sol.extras["b3_length"] == pytest.approx(2.0, abs=1e-12)
+            assert sol.length == pytest.approx(2.0, abs=1e-12)
+            segs = [np.array([p, q]) for pl in sol.barrier.polylines
+                    for p, q in zip(pl[:-1], pl[1:])]
+            assert len(segs) == 2
+            for side in (np.array([v, a]), np.array([v, b])):
+                assert any(min(np.abs(s - side).max(), np.abs(s - side[::-1]).max()) <= 1e-9
+                           for s in segs)
+            assert is_opaque(poly, sol.barrier).opaque
+            connected += sol.barrier.kind == "connected"
+        assert connected > 0
+
     def test_never_longer_than_a1(self, ratio_polys):
         for poly in ratio_polys[::13]:
             assert algo_a2(poly).length <= algo_a1(poly).length + 1e-9
