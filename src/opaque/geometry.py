@@ -28,6 +28,7 @@ TWO_PI = 2.0 * math.pi
 TOL_GEOM_REL = 1e-9
 TOL_TOUCH_REL = 1e-7
 TOL_AREA_REL = 1e-12
+TOL_LEN_REL = 1e-12    # lengths treated as zero: merge gains, point pairs
 TOL_ANG = 1e-12
 
 

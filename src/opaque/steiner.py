@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import squareform, pdist
 
-from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, Point2, cross2
+from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, TOL_LEN_REL, Point2, cross2
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -200,6 +200,9 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
         adj[i].add(j)
         adj[j].add(i)
 
+    # (gain, center) of merging star (u; v, w): nodes never move once
+    # appended, so each triple is computed once per call
+    merges: dict[tuple[int, int, int], tuple[float, Point2]] = {}
     for _ in range(10 * len(pts)):
         best = None
         for u in list(adj):
@@ -207,11 +210,13 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
             for ai in range(len(nbrs)):
                 for bi in range(ai + 1, len(nbrs)):
                     v, w = nbrs[ai], nbrs[bi]
-                    cur = math.dist(nodes[u], nodes[v]) + math.dist(nodes[u], nodes[w])
-                    center, _ = _fermat(nodes[u], nodes[v], nodes[w])
-                    new = sum(math.dist(center, nodes[k]) for k in (u, v, w))
-                    gain = cur - new
-                    if gain > 1e-12 * diam and (best is None or gain > best[0]):
+                    if (u, v, w) not in merges:
+                        cur = math.dist(nodes[u], nodes[v]) + math.dist(nodes[u], nodes[w])
+                        center, _ = _fermat(nodes[u], nodes[v], nodes[w])
+                        new = sum(math.dist(center, nodes[k]) for k in (u, v, w))
+                        merges[u, v, w] = (cur - new, center)
+                    gain, center = merges[u, v, w]
+                    if gain > TOL_LEN_REL * diam and (best is None or gain > best[0]):
                         best = (gain, u, v, w, center)
         if best is None:
             break

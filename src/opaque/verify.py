@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import Barrier
-from .geometry import ConvexPolygon, Interval, TOL_ANG, unit_normal
+from .geometry import ConvexPolygon, Interval, TOL_ANG, TOL_LEN_REL, unit_normal
 
 TOL_COVER_REL = 1e-9
 ROUNDING_COVER = 8.0   # eps * (max |coord| + diameter) units; see tol_cover
@@ -102,17 +102,34 @@ def critical_directions(poly: ConvexPolygon, barrier: Barrier) -> list[float]:
     n = len(pts)
     ii, jj = np.triu_indices(n, k=1)
     d = pts[jj] - pts[ii]
-    keep = np.hypot(d[:, 0], d[:, 1]) > 1e-12 * poly.diameter
+    keep = np.hypot(d[:, 0], d[:, 1]) > TOL_LEN_REL * poly.diameter
     ang = np.mod(np.arctan2(d[keep, 1], d[keep, 0]), math.pi)
     ang = np.where(ang >= math.pi - TOL_ANG, 0.0, ang)
-    ang = np.sort(ang)
+    return _dedup_sorted(np.sort(ang))
+
+
+def _dedup_sorted(ang: np.ndarray) -> list[float]:
+    """Sorted angles thinned so each kept one is more than TOL_ANG past
+    the previous kept one, scanning from the first.
+
+    A step of more than TOL_ANG from its predecessor always starts a kept
+    angle, so only runs of smaller steps need the scan, and a run that
+    spans at most TOL_ANG keeps just its first angle.
+    """
     if ang.size == 0:
         return []
-    dedup = [float(ang[0])]
-    for a in ang[1:]:
-        if a - dedup[-1] > TOL_ANG:
-            dedup.append(float(a))
-    return dedup
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(ang) > TOL_ANG) + 1])
+    ends = np.append(starts[1:], ang.size)
+    kept = np.zeros(ang.size, dtype=bool)
+    kept[starts] = True
+    wide = ang[ends - 1] - ang[starts] > TOL_ANG
+    for s, e in zip(starts[wide], ends[wide]):
+        last = ang[s]
+        for i in range(s + 1, e):
+            if ang[i] - last > TOL_ANG:
+                kept[i] = True
+                last = ang[i]
+    return ang[kept].tolist()
 
 
 def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:

@@ -6,6 +6,9 @@ over all directions whose flagged directions the sweep then re-checks,
 keeping the widest gap.  Both use the relative tolerance alone.  On
 unit-scale inputs the verifier must give the same verdicts and witness
 directions, and witness intervals within 1e-12 * diameter.
+
+The critical directions are checked against the sequential scan that
+thinned the sorted pair angles one at a time; the lists must be equal.
 """
 
 import math
@@ -19,12 +22,14 @@ from opaque import (
     algo_a3,
     algo_a4,
     critical_directions,
+    interior_connected,
     interior_single_arc,
     is_opaque,
     make_fixture,
     projections_cover,
+    validate_polygon,
 )
-from opaque.geometry import Interval, unit_normal
+from opaque.geometry import TOL_ANG, TOL_LEN_REL, Interval, unit_normal
 from opaque.verify import TOL_COVER_REL
 
 from conftest import regular_ngon, truncated
@@ -153,3 +158,53 @@ def test_projections_cover_matches_sweep(ratio_polys, theta):
         if not covered:
             assert abs(gap.lo - ref_gap.lo) <= REL * poly.diameter
             assert abs(gap.hi - ref_gap.hi) <= REL * poly.diameter
+
+
+def pair_angles(poly, barrier):
+    """Sorted directions in [0, pi) of the point pairs, as the verifier
+    computes them."""
+    pts = np.concatenate([poly.coords, barrier.all_points()])
+    ii, jj = np.triu_indices(len(pts), k=1)
+    d = pts[jj] - pts[ii]
+    keep = np.hypot(d[:, 0], d[:, 1]) > TOL_LEN_REL * poly.diameter
+    ang = np.mod(np.arctan2(d[keep, 1], d[keep, 0]), math.pi)
+    return np.sort(np.where(ang >= math.pi - TOL_ANG, 0.0, ang))
+
+
+def ref_dedup(ang):
+    """Keep an angle when it is more than TOL_ANG past the last kept one."""
+    if ang.size == 0:
+        return []
+    dedup = [float(ang[0])]
+    for a in ang[1:]:
+        if a - dedup[-1] > TOL_ANG:
+            dedup.append(float(a))
+    return dedup
+
+
+def has_wide_run(ang):
+    """Does a chain of steps of at most TOL_ANG span more than TOL_ANG?"""
+    start = 0
+    for i in range(1, ang.size + 1):
+        if i == ang.size or ang[i] - ang[i - 1] > TOL_ANG:
+            if ang[i - 1] - ang[start] > TOL_ANG:
+                return True
+            start = i
+    return False
+
+
+def test_critical_directions_match_scan(ratio_polys):
+    # hulls translated by 1e3 diameters round their pair angles coarsely
+    # enough to chain small steps into runs wider than TOL_ANG
+    far = [validate_polygon(p.coords + 1e3 * p.diameter) for p in ratio_polys[::50]]
+    polys = ratio_polys[::20] + [regular_ngon(n) for n in range(3, 65)] + far
+    builders = dict(METHODS, **{"interior-tree": interior_connected})
+    built = [(poly, build(poly).barrier) for poly in polys for build in builders.values()]
+    fix = make_fixture("unit-square")
+    built += [(fix.polygon, barrier) for barrier, _, _ in fix.known_barriers]
+    wide = 0
+    for poly, barrier in built:
+        ang = pair_angles(poly, barrier)
+        assert critical_directions(poly, barrier) == ref_dedup(ang)
+        wide += has_wide_run(ang)
+    assert wide > 0
