@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    TOL_LEN_REL,
     ConvexPolygon,
     Point2,
     canon_oriented_angle,
@@ -112,12 +113,12 @@ class DPTables:
     choice_t: np.ndarray
 
 
-def _polylines_connected(polylines, tol: float | None = None) -> bool:
-    pts = np.concatenate([np.asarray(pl, dtype=float) for pl in polylines])
-    if tol is None:
-        tol = 1e-9 * max(float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))), 1e-300)
-    k = len(polylines)
-    parent = list(range(k))
+def components(polylines) -> list[list[int]]:
+    """Indices of the polylines in each connected component, in order of
+    each component's first polyline.  Two polylines are connected when
+    they share an exactly equal vertex, so every distinct vertex belongs
+    to exactly one component."""
+    parent = list(range(len(polylines)))
 
     def find(i):
         while parent[i] != i:
@@ -125,28 +126,35 @@ def _polylines_connected(polylines, tol: float | None = None) -> bool:
             i = parent[i]
         return i
 
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    # cheap pass: exact shared endpoints/vertices
-    seen: dict[tuple[float, float], int] = {}
+    owner: dict[Point2, int] = {}
     for i, pl in enumerate(polylines):
         for p in pl:
-            key = (p[0], p[1])
-            if key in seen:
-                union(i, seen[key])
-            else:
-                seen[key] = i
-    if len({find(i) for i in range(k)}) == 1:
+            parent[find(i)] = find(owner.setdefault(p, i))
+    groups: dict[int, list[int]] = {}
+    for i in range(len(polylines)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _polylines_connected(polylines, tol: float | None = None) -> bool:
+    """Do the polylines form one connected set?  Exactly shared vertices
+    connect (``components``); so do segments within tol of each other,
+    crossings included."""
+    todo = components(polylines)
+    if len(todo) == 1:
         return True
-    # full pass: segment-to-segment proximity (crossings count as contact)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if find(i) == find(j):
-                continue
-            if _polyline_distance(polylines[i], polylines[j]) <= tol:
-                union(i, j)
-    return len({find(i) for i in range(k)}) == 1
+    if tol is None:
+        pts = np.concatenate([np.asarray(pl, dtype=float) for pl in polylines])
+        tol = 1e-9 * max(float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))), 1e-300)
+    frontier = [todo.pop(0)]
+    while frontier and todo:
+        group = frontier.pop()
+        near = [other for other in todo
+                if any(_polyline_distance(polylines[i], polylines[j]) <= tol
+                       for i in group for j in other)]
+        todo = [other for other in todo if other not in near]
+        frontier += near
+    return not todo
 
 
 def _polyline_distance(pa, pb) -> float:
@@ -276,7 +284,10 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
     if tri is not None:
         nodes, edges, b3_len, _ = steiner_tree(tri.corners)
         extras["b3_length"] = b3_len
-        if b3_len < a1.length:
+        # the two candidates tie on triangles with a vertex of 120 degrees or
+        # more (both are the two sides at that vertex): take the tree unless
+        # it is longer by more than rounding, so rotation cannot flip the kind
+        if b3_len <= a1.length + TOL_LEN_REL * poly.diameter:
             polylines = tuple((nodes[i], nodes[j]) for i, j in edges)
             barrier = Barrier(polylines, "connected")
             return _solution(poly, barrier, "a2", extras)

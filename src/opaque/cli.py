@@ -89,8 +89,8 @@ def read_polygon(path: str, auto_orient: bool = False) -> ConvexPolygon:
     verts = doc["vertices"]
     pts = [(float(x), float(y)) for x, y in verts]
     if auto_orient:
-        arr = np.array(pts)
-        area2 = float(cross2(arr, np.roll(arr, -1, axis=0)).sum())
+        rel = np.array(pts) - pts[0]
+        area2 = float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
         if area2 < 0.0:
             pts = pts[::-1]
     return validate_polygon(pts)
@@ -208,7 +208,10 @@ def cmd_verify(args) -> int:
         return 2
     report = is_opaque(poly, barrier)
     if report.opaque:
-        print(f"opaque: yes ({report.directions_tested} directions tested)")
+        if report.certificate == "hull":
+            print(f"opaque: yes (hull certificate; min slack {report.min_slack:.6g})")
+        else:
+            print(f"opaque: yes ({report.directions_tested} directions tested)")
         if args.svg:
             write_svg(args.svg, poly, barrier, ["opaque: yes"])
         return 0

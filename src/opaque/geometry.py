@@ -256,7 +256,10 @@ def _check_polygon(pts: list[Point2]) -> None:
         i, j = sorted((int(order[k]), int(order[k + 1])))
         raise DuplicateVertex(f"vertices {i} and {j} coincide")
     cross = cross2(d, np.roll(d, -1, axis=0))
-    area2 = float(cross2(arr, np.roll(arr, -1, axis=0)).sum())
+    # the shoelace sum about vertex 0: on raw coordinates far from the
+    # origin its terms cancel catastrophically and the sign is noise
+    rel = arr - arr[0]
+    area2 = float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
     tol_area = TOL_AREA_REL * span ** 2
     if area2 < -tol_area:
         raise WrongOrientation("vertices are clockwise (pass counterclockwise, "

@@ -2,10 +2,27 @@
 
 A barrier blocks every line through the polygon iff, for every direction,
 the union of the barrier's projections onto the direction's normal axis
-covers the polygon's projection.  Coverage is combinatorially constant
+covers the polygon's projection.
+
+The verifier works on connected components: polylines that share an
+exactly equal vertex (``barriers.components``).  One component projects
+to a single interval, the span of its vertices' projections.  Exact
+sharing is always sound, and no proximity merge is made: two polylines
+a hair apart stay two components, so a line through the gap is found.
+
+Hull certificate.  A line misses a connected set iff it misses the set's
+convex hull, so a one-component barrier B is opaque iff the polygon lies
+in hull(B).  ``is_opaque`` first builds hull(B) and returns opaque with
+no direction tested when every polygon vertex is within tol_cover of it
+in Euclidean distance.  The test is a merged sweep over the edge normals
+of both convex polygons, in O(n + h) time and memory.
+
+Direction scan.  Otherwise (several components, a hull with no interior,
+or a vertex outside the band), coverage is combinatorially constant
 between consecutive "critical" directions (lines through pairs of barrier
-endpoints or polygon vertices), so testing all criticals plus every gap
-midpoint decides opaqueness exactly.
+vertices or polygon vertices), so testing all criticals plus every gap
+midpoint decides opaqueness exactly, and the widest uncovered gap is the
+witness.
 """
 
 from __future__ import annotations
@@ -15,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import Barrier
+from .barriers import Barrier, components
 from .geometry import ConvexPolygon, Interval, TOL_ANG, TOL_LEN_REL, unit_normal
 
 TOL_COVER_REL = 1e-9
@@ -34,9 +51,18 @@ class Witness:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """``certificate`` says what decided: "hull" (the polygon lies within
+    tol_cover of the hull of a one-component barrier; no direction is
+    tested) or "directions" (the critical-direction scan).  For a hull
+    certificate ``min_slack`` is the smallest depth of a polygon vertex
+    inside hull(B), minus its distance for a vertex outside, so it is
+    <= 0 when some vertex lies in the tolerance band; otherwise None."""
+
     opaque: bool
     witness: Witness | None
     directions_tested: int
+    certificate: str
+    min_slack: float | None
 
 
 def tol_cover(poly: ConvexPolygon) -> float:
@@ -54,42 +80,62 @@ def tol_cover(poly: ConvexPolygon) -> float:
     return TOL_COVER_REL * poly.diameter + ROUNDING_COVER * np.finfo(float).eps * mag
 
 
+def _component_points(barrier: Barrier) -> tuple[np.ndarray, list[int]]:
+    """The barrier's distinct vertices grouped by connected component, and
+    the index where each component's run of rows ends."""
+    groups = [dict.fromkeys(p for i in group for p in barrier.polylines[i])
+              for group in components(barrier.polylines)]
+    pts = np.array([p for group in groups for p in group], dtype=float)
+    return pts, np.cumsum([len(group) for group in groups]).tolist()
+
+
 def projections_cover(poly: ConvexPolygon, barrier: Barrier, theta: float
                       ) -> tuple[bool, Interval | None]:
-    """Does the union of polyline projections cover the polygon projection?
+    """Does the union of the barrier's projections cover the polygon
+    projection?
 
     Returns the first uncovered sub-interval when coverage fails.
     """
-    lo, hi = _first_gaps(poly, barrier, np.array([theta]))
+    lo, hi = _first_gaps(poly, *_component_points(barrier), np.array([theta]))
     if math.isnan(lo[0]):
         return True, None
     return False, Interval(float(lo[0]), float(hi[0]))
 
 
-def _first_gaps(poly: ConvexPolygon, barrier: Barrier, thetas: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _first_gaps(poly: ConvexPolygon, pts: np.ndarray, ends: list[int],
+                thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First uncovered sub-interval (lo, hi) of the polygon's projection
-    for each direction; NaN where the barrier covers it.
-
-    Each connected polyline projects to one interval.  Sorted by lower
-    end, the intervals cover the polygon's [plo, phi] iff no gap between
-    the running reach of the earlier ones (or plo) and the next lower end
-    (or phi) is wider than tol_cover.
-    """
+    for each direction; NaN where the barrier covers it.  ``pts`` and
+    ``ends`` are the component rows of ``_component_points``; each
+    component projects to the interval between its rows' min and max."""
     nrm = np.vstack([-np.sin(thetas), np.cos(thetas)])             # (2, D)
     pproj = poly.coords @ nrm                                       # (n, D)
     plo, phi = pproj.min(axis=0), pproj.max(axis=0)
-    projs = [np.asarray(pl, dtype=float) @ nrm for pl in barrier.polylines]
-    lo = np.array([q.min(axis=0) for q in projs])                   # (k, D)
-    hi = np.array([q.max(axis=0) for q in projs])
-    del pproj, projs                   # free before the (k, D) work: peak memory
+    del pproj                          # free before the barrier's: peak memory
+    proj = pts @ nrm                                                # (m, D)
+    lo = np.empty((len(ends), len(thetas)))                         # (k, D)
+    hi = np.empty_like(lo)
+    for c, (s, e) in enumerate(zip([0] + ends[:-1], ends)):
+        proj[s:e].min(axis=0, out=lo[c])
+        proj[s:e].max(axis=0, out=hi[c])
+    del proj
+    return _sweep(plo, phi, lo, hi, tol_cover(poly))
+
+
+def _sweep(plo: np.ndarray, phi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """First gap wider than tol, per direction (column), in the union of
+    the intervals [lo, hi] (one row each) over the polygon's [plo, phi];
+    NaN where there is none.  Sorted by lower end, the intervals cover
+    [plo, phi] iff no gap between the running reach of the earlier ones
+    (or plo) and the next lower end (or phi) is wider than tol."""
     order = np.argsort(lo, axis=0)
     gap_lo = np.maximum.accumulate(
         np.vstack([plo, np.take_along_axis(hi, order, axis=0)]), axis=0)
     gap_hi = np.minimum(np.vstack([np.take_along_axis(lo, order, axis=0), phi]), phi)
-    fail = gap_hi > gap_lo + tol_cover(poly)                        # (k + 1, D)
+    fail = gap_hi > gap_lo + tol                                    # (k + 1, D)
     first = fail.argmax(axis=0)
-    cols = np.arange(len(thetas))
+    cols = np.arange(lo.shape[1])
     covered = ~fail[first, cols]
     return (np.where(covered, np.nan, gap_lo[first, cols]),
             np.where(covered, np.nan, gap_hi[first, cols]))
@@ -132,29 +178,112 @@ def _dedup_sorted(ang: np.ndarray) -> list[float]:
     return ang[kept].tolist()
 
 
+def _strict_hull(pts: np.ndarray) -> np.ndarray:
+    """Convex hull vertices, counterclockwise, by Andrew's monotone chain;
+    points on a hull edge are left out.  Fewer than three rows when the
+    points are collinear."""
+    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    return np.array(chain(ordered) + chain(reversed(ordered)), dtype=float).reshape(-1, 2)
+
+
+def _normals(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outward edge-normal angles of a counterclockwise convex polygon in
+    [0, 2*pi), sorted, and the edge (= start vertex) of each: a direction
+    just below a normal's angle has that edge's start vertex extreme."""
+    e = np.roll(verts, -1, axis=0) - verts
+    ang = np.mod(np.arctan2(-e[:, 0], e[:, 1]), 2.0 * math.pi)
+    order = np.argsort(ang)
+    return ang[order], order
+
+
+def _hull_slack(poly: ConvexPolygon, pts: np.ndarray, tol: float) -> float | None:
+    """Smallest depth of a polygon vertex inside the convex hull of
+    ``pts`` (minus the distance of a vertex outside it) when every vertex
+    is within tol of the hull in Euclidean distance; None when one is
+    not, or when the hull has fewer than three vertices.
+
+    With h_P and h_H the support functions of the polygon and the hull,
+    the largest signed distance of a polygon vertex to the hull is the
+    maximum over unit directions u of g(u) = h_P(u) - h_H(u).  Between
+    consecutive edge normals of either polygon both supporting vertices
+    p and q stay fixed and g = (p - q).u, a sinusoid whose peak |p - q|
+    lies at the direction of p - q.  So the maximum is over the merged
+    normal angles and the peaks inside their arcs: Euclidean at corners,
+    where per-face offsets would give extra slack.
+    """
+    hull = _strict_hull(pts)
+    if len(hull) < 3:
+        return None
+    (pa, pv), (ha, hv) = _normals(poly.coords), _normals(hull)
+    start = np.sort(np.concatenate([pa, ha]))                       # arc starts
+    stop = np.append(start[1:], start[0] + 2.0 * math.pi)
+    mid = np.mod((start + stop) / 2.0, 2.0 * math.pi)
+    d = (poly.coords[pv[np.searchsorted(pa, mid) % len(pa)]]
+         - hull[hv[np.searchsorted(ha, mid) % len(ha)]])
+    # g at every arc start, hull edge normals among them: a vertex more
+    # than tol outside a hull edge line rejects before the corner peaks
+    worst = float((d[:, 0] * np.cos(start) + d[:, 1] * np.sin(start)).max())
+    if worst > tol:
+        return None
+    inside = np.mod(np.arctan2(d[:, 1], d[:, 0]) - start, 2.0 * math.pi) < stop - start
+    if inside.any():
+        worst = max(worst, float(np.hypot(d[inside, 0], d[inside, 1]).max()))
+    return None if worst > tol else 0.0 - worst       # 0.0 - worst: never -0.0
+
+
 def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     """Decide opaqueness exactly.
 
-    Tests every critical direction and the midpoint of every gap between
-    circularly consecutive criticals (where the projected-endpoint ordering,
-    and hence coverage, cannot change), BLOCK directions at a time.  The
-    witness is the widest uncovered gap, the first such direction on ties.
+    A one-component barrier whose hull holds the polygon, every vertex
+    within tol_cover in Euclidean distance, is opaque by the hull
+    certificate: no direction is tested, and ``min_slack`` reports the
+    smallest depth.  Every other barrier goes to the direction scan, and
+    every non-opaque verdict comes from it.
     """
+    pts, ends = _component_points(barrier)
+    if len(ends) == 1:
+        slack = _hull_slack(poly, pts, tol_cover(poly))
+        if slack is not None:
+            return VerificationReport(True, None, 0, "hull", slack)
+    return _scan(poly, barrier, pts, ends)
+
+
+def _scan(poly: ConvexPolygon, barrier: Barrier, pts: np.ndarray, ends: list[int]
+          ) -> VerificationReport:
+    """The direction scan: every critical direction and the midpoint of
+    every gap between circularly consecutive criticals (where the
+    projected-endpoint ordering, and hence coverage, cannot change), BLOCK
+    directions at a time.  The witness is the widest uncovered gap, the
+    first such direction on ties.  ``pts`` and ``ends`` are the barrier's
+    component rows (``_component_points``)."""
     crits = np.array(critical_directions(poly, barrier) or [0.0])
     wrap = math.fmod((crits[-1] + crits[0] + math.pi) / 2.0, math.pi)
     thetas = np.sort(np.concatenate([crits, (crits[:-1] + crits[1:]) / 2.0, [wrap]]))
     best, best_width = None, 0.0
     for start in range(0, len(thetas), BLOCK):
-        lo, hi = _first_gaps(poly, barrier, thetas[start:start + BLOCK])
+        lo, hi = _first_gaps(poly, pts, ends, thetas[start:start + BLOCK])
         width = np.fmax(hi - lo, 0.0)                               # NaN -> 0
         k = int(width.argmax())
         if width[k] > best_width:
             best_width = width[k]
             best = (float(thetas[start + k]), Interval(float(lo[k]), float(hi[k])))
     if best is None:
-        return VerificationReport(True, None, len(thetas))
+        return VerificationReport(True, None, len(thetas), "directions", None)
     theta, gap = best
-    return VerificationReport(False, Witness(theta, gap, (gap.lo + gap.hi) / 2.0), len(thetas))
+    return VerificationReport(False, Witness(theta, gap, (gap.lo + gap.hi) / 2.0),
+                              len(thetas), "directions", None)
 
 
 def blocking_margin(poly: ConvexPolygon, barrier: Barrier, alpha: float) -> float:

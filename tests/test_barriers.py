@@ -161,8 +161,8 @@ class TestAlgoA2:
     def test_wide_tangent_triangle(self, wide_deg):
         # The tangent triangle is the triangle itself, and its Steiner tree
         # is the two sides at the wide vertex.  a1's U-curve on the longest
-        # side is the same two sides, so the two candidates tie and rounding
-        # picks one; either way the barrier is those two sides.
+        # side is the same two sides, so the two candidates tie; either way
+        # the barrier is those two sides.
         wide = math.radians(wide_deg)
         connected = 0
         for k in range(12):
@@ -181,6 +181,19 @@ class TestAlgoA2:
             assert is_opaque(poly, sol.barrier).opaque
             connected += sol.barrier.kind == "connected"
         assert connected > 0
+
+    def test_wide_triangle_kind_rotation_invariant(self):
+        # the tie between a1 and the tree is decided with a margin, not by
+        # the rounding of two equal lengths, so rotation cannot flip it
+        wide = math.radians(150)
+        seen = set()
+        for k in range(12):
+            t = 0.5 * k
+            poly = validate_polygon([(0.0, 0.0), (math.cos(t), math.sin(t)),
+                                     (math.cos(t + wide), math.sin(t + wide))])
+            sol = algo_a2(poly)
+            seen.add((sol.barrier.kind, round(sol.length, 12)))
+        assert len(seen) == 1
 
     def test_never_longer_than_a1(self, ratio_polys):
         for poly in ratio_polys[::13]:

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from opaque import random_convex_polygon
 from opaque.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -75,6 +77,20 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["length"] == pytest.approx(3.0)
 
+    def test_auto_orient_far_translated(self, capsys, tmp_path):
+        # clockwise hulls 1e9 diameters from the origin: the orientation
+        # test takes the shoelace sum about the first vertex, not on raw
+        # coordinates, where its sign is rounding noise
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            poly = random_convex_polygon(int(rng.integers(3, 30)), rng)
+            cw = tmp_path / "cw.json"
+            cw.write_text(json.dumps(
+                {"vertices": (poly.coords + 1e9 * poly.diameter)[::-1].tolist()}))
+            code, _, err = run(capsys, "compute", "--method", "a1",
+                               "--input", str(cw), "--auto-orient")
+            assert code == 0, err
+
     def test_svg_written(self, capsys, square_file, tmp_path):
         svg = tmp_path / "out.svg"
         code, _, _ = run(capsys, "compute", "--method", "a4",
@@ -98,6 +114,20 @@ class TestVerify:
                                "--barrier", str(bfile))
             assert code == 0, method
             assert "opaque: yes" in out
+
+    def test_opaque_messages(self, capsys, square_file, tmp_path):
+        # one component holding the square: the hull certificate; two
+        # polylines overlapping on x = 1 without a shared vertex: the scan
+        docs = {"hull certificate; min slack 0)": [[[0, 0], [1, 0], [1, 1], [0, 1]]],
+                "directions tested)": [[[0, 0], [1, 0], [1, 0.6]],
+                                       [[1, 0.4], [1, 1], [0, 1]]]}
+        for message, polylines in docs.items():
+            bfile = tmp_path / "b.json"
+            bfile.write_text(json.dumps({"polylines": polylines, "kind": "arbitrary"}))
+            code, out, _ = run(capsys, "verify", "--polygon", square_file,
+                               "--barrier", str(bfile))
+            assert code == 0
+            assert out.startswith("opaque: yes (") and out.rstrip().endswith(message)
 
     def test_not_opaque_exit_1(self, capsys, square_file, tmp_path):
         bfile = tmp_path / "twosides.json"

@@ -15,6 +15,7 @@ from opaque import (
     min_width,
     perimeter,
     project,
+    random_convex_polygon,
     validate_polygon,
     width_in_direction,
 )
@@ -64,6 +65,15 @@ class TestValidation:
     def test_nonfinite(self):
         with pytest.raises(PolygonError):
             validate_polygon([(0, 0), (1, 0), (math.nan, 1)])
+
+    def test_far_translated_hulls_validate(self):
+        # the shoelace sum on raw coordinates 1e9 diameters from the origin
+        # cancels to noise and rejected about a third of these as clockwise
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            poly = random_convex_polygon(int(rng.integers(3, 30)), rng)
+            far = validate_polygon(poly.coords + 1e9 * poly.diameter)
+            assert len(far) == len(poly)
 
     def test_input_order_preserved(self):
         pts = [(1, 0), (1, 1), (0, 1), (0, 0)]

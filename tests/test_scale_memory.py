@@ -3,10 +3,13 @@
 The support oracle keeps every kernel scan at O(n) memory; an n x n
 projection matrix at n = 16384 alone takes 2.1 GB.  The verifier tests
 directions in fixed-size blocks, so its projection arrays stay bounded
-however many critical directions there are.  Peaks are measured
-with tracemalloc and never timed: tracing slows Python loops many fold.
+however many critical directions there are, and a one-component
+barrier whose hull holds the polygon needs no directions at all: the hull
+test is O(n + m).  Peaks are measured with tracemalloc and never timed:
+tracing slows Python loops many fold, so times are taken untraced.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ from opaque import (
     algo_a2,
     algo_a3,
     algo_a4,
+    interior_connected,
     interior_single_arc,
     is_opaque,
     make_fixture,
@@ -60,4 +64,25 @@ def test_verifier_peak_memory(method):
     # about 83k directions; all at once the projections took 283-370 MB
     poly = random_convex_polygon(300, np.random.default_rng(300))
     barrier = method(poly).barrier
+    assert peak_bytes(lambda p: is_opaque(p, barrier), poly) < 64 * MB
+
+
+def test_verifier_interior_tree_1000():
+    # 855 hull vertices and a tree of 854 edges: the direction scan would
+    # test about 730k directions
+    poly = random_convex_polygon(1000, np.random.default_rng(1000))
+    barrier = interior_connected(poly).barrier
+    t0 = time.perf_counter()
+    report = is_opaque(poly, barrier)
+    assert time.perf_counter() - t0 < 2.0
+    assert report.opaque and report.certificate == "hull"
+    assert peak_bytes(lambda p: is_opaque(p, barrier), poly) < 64 * MB
+
+
+@pytest.mark.parametrize("shape", sorted(LARGE))
+def test_verifier_large_polygon_peak_memory(shape):
+    poly = LARGE[shape]()
+    barrier = algo_a3(poly).barrier
+    report = is_opaque(poly, barrier)
+    assert report.opaque and report.certificate == "hull"
     assert peak_bytes(lambda p: is_opaque(p, barrier), poly) < 64 * MB
