@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    TOL_GEOM_REL,
     TOL_LEN_REL,
     ConvexPolygon,
     Point2,
@@ -99,20 +100,6 @@ class UCurve:
     length: float
 
 
-@dataclass(frozen=True)
-class DPTables:
-    """Hamiltonian-path DP tables over circular vertex runs.
-
-    Row L holds values for runs of L+1 consecutive vertices starting at
-    each index; S runs start at the run's first vertex, T runs at its last.
-    """
-
-    S: np.ndarray
-    T: np.ndarray
-    choice_s: np.ndarray
-    choice_t: np.ndarray
-
-
 def components(polylines) -> list[list[int]]:
     """Indices of the polylines in each connected component, in order of
     each component's first polyline.  Two polylines are connected when
@@ -136,16 +123,15 @@ def components(polylines) -> list[list[int]]:
     return list(groups.values())
 
 
-def _polylines_connected(polylines, tol: float | None = None) -> bool:
+def _polylines_connected(polylines) -> bool:
     """Do the polylines form one connected set?  Exactly shared vertices
-    connect (``components``); so do segments within tol of each other,
-    crossings included."""
+    connect (``components``); so do segments within TOL_GEOM_REL times the
+    points' extent of each other, crossings included."""
     todo = components(polylines)
     if len(todo) == 1:
         return True
-    if tol is None:
-        pts = np.concatenate([np.asarray(pl, dtype=float) for pl in polylines])
-        tol = 1e-9 * max(float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))), 1e-300)
+    pts = np.concatenate([np.asarray(pl, dtype=float) for pl in polylines])
+    tol = TOL_GEOM_REL * max(float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))), 1e-300)
     frontier = [todo.pop(0)]
     while frontier and todo:
         group = frontier.pop()
@@ -305,13 +291,10 @@ def algo_a3(poly: ConvexPolygon) -> BarrierSolution:
     e = np.roll(poly.coords, -1, axis=0) - poly.coords
     thetas = np.unique(canon_oriented_angle(
         np.arctan2(e[:, 1], e[:, 0])[:, None] + [0.0, math.pi / 2.0, -math.pi / 2.0]))
-    best = None
-    for theta, length in zip(thetas.tolist(), _u_lengths(poly, thetas)[3].tolist()):
-        if best is None or length < best[0] - 1e-15:
-            best = (length, theta)
-    curve = u_curve(poly, best[1])
+    theta = float(thetas[np.argmin(_u_lengths(poly, thetas)[3])])
+    curve = u_curve(poly, theta)
     barrier = Barrier((curve.polyline,), "single-arc")
-    return _solution(poly, barrier, "a3", {"baseline": best[1]})
+    return _solution(poly, barrier, "a3", {"baseline": theta})
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +313,11 @@ def algo_a4_candidates(poly: ConvexPolygon):
     alt = x * y / math.hypot(x, y)
     u = (c[1] - c[0]) / x
     nrm = (c[3] - c[0]) / y
-    tol = max(poly.tol_geom, 1e-12 * max(x, y))
     n = len(poly)
     # first and last vertex, counterclockwise, of the runs touching the
     # bottom, right, top and left sides (a window may repeat vertices)
     cand, near, _ = support_window(poly, [-nrm[0], u[0], nrm[0], -u[0]],
-                                   [-nrm[1], u[1], nrm[1], -u[1]], tol)
+                                   [-nrm[1], u[1], nrm[1], -u[1]], poly.tol_geom)
     runs = []
     for row, inside in zip(cand.tolist(), near.tolist()):
         run = {v for v, f in zip(row, inside) if f}
@@ -349,7 +331,7 @@ def algo_a4_candidates(poly: ConvexPolygon):
         i = runs[k][0]
         j = runs[(k + 1) % 4][1]
         idx = (i + np.arange((j - i) % n + 1)) % n
-        path = _collapse([start] + [poly.vertices[q] for q in idx] + [end], tol)
+        path = _collapse([start] + [poly.vertices[q] for q in idx] + [end], poly.tol_geom)
         foot = _foot_on_segment(opp, start, end)
         polylines = (tuple(path), (opp, foot))
         length = polyline_length(path) + math.dist(opp, foot)
@@ -377,46 +359,54 @@ def algo_a4(poly: ConvexPolygon) -> BarrierSolution:
 # Exact interior barriers
 
 
-def hamiltonian_path_tables(poly: ConvexPolygon) -> DPTables:
-    """Fill the circular-run DP tables for the minimum Hamiltonian path."""
+def hamiltonian_path_tables(poly: ConvexPolygon):
+    """Circular-run DP for the minimum Hamiltonian path of the vertices.
+
+    Row L covers the runs of L+1 consecutive vertices starting at each
+    index i: S paths start at the run's first vertex i, T paths at its
+    last, i+L.  Each row needs one diagonal of distances and the row
+    before it, so only two float rows are kept; row n-1 is the shortest
+    path from each start vertex.  Returns (lengths, choice_s, choice_t),
+    where choice_s[L, i] (choice_t[L, i]) is set when the S (T) path
+    steps to the far end of its run.
+    """
     v = poly.coords
     n = len(v)
-    d = np.hypot(v[:, None, 0] - v[None, :, 0], v[:, None, 1] - v[None, :, 1])
-    dnext = d[np.arange(n), (np.arange(n) + 1) % n]
-    S = np.zeros((max(n - 1, 2), n))
-    T = np.zeros_like(S)
-    cs = np.zeros(S.shape, dtype=bool)
-    ct = np.zeros(S.shape, dtype=bool)
-    S[1] = dnext
-    T[1] = dnext
-    for L in range(2, n - 1):
-        dspan = d[np.arange(n), (np.arange(n) + L) % n]
-        dlast = dnext[(np.arange(n) + L - 1) % n]
-        opt1 = dnext + np.roll(S[L - 1], -1)
-        opt2 = dspan + np.roll(T[L - 1], -1)
-        S[L] = np.minimum(opt1, opt2)
+    x2, y2 = np.concatenate([v, v]).T
+    dnext = poly.edge_lengths
+    dnext2 = np.concatenate([dnext, dnext])
+    S = T = dnext
+    cs = np.zeros((n, n), dtype=bool)
+    ct = np.zeros_like(cs)
+    for L in range(2, n):
+        dspan = np.hypot(x2[L:L + n] - v[:, 0], y2[L:L + n] - v[:, 1])
+        opt1 = dnext + np.roll(S, -1)
+        opt2 = dspan + np.roll(T, -1)
+        opt1t = dnext2[L - 1:L - 1 + n] + T
+        opt2t = dspan + S
+        S = np.minimum(opt1, opt2)
         cs[L] = opt2 < opt1
-        opt1t = dlast + T[L - 1]
-        opt2t = dspan + S[L - 1]
-        T[L] = np.minimum(opt1t, opt2t)
+        T = np.minimum(opt1t, opt2t)
         ct[L] = opt2t < opt1t
-    return DPTables(S, T, cs, ct)
+    return S, cs, ct
 
 
-def _reconstruct_path(tables: DPTables, n: int, mode: str, i: int, L: int) -> list[int]:
+def _reconstruct_path(choice_s, choice_t, i: int) -> list[int]:
+    """Vertex order of the DP's shortest path from start vertex i."""
+    n = len(choice_s)
+    mode, L = "S", n - 1
     out = []
     while L > 1:
         if mode == "S":
             out.append(i)
-            if tables.choice_s[L, i]:
+            if choice_s[L, i]:
                 mode = "T"
             i = (i + 1) % n
-            L -= 1
         else:
             out.append((i + L) % n)
-            if tables.choice_t[L, i]:
+            if choice_t[L, i]:
                 mode = "S"
-            L -= 1
+        L -= 1
     if mode == "S":
         out.extend([i, (i + 1) % n])
     else:
@@ -427,20 +417,8 @@ def _reconstruct_path(tables: DPTables, n: int, mode: str, i: int, L: int) -> li
 def interior_single_arc(poly: ConvexPolygon) -> BarrierSolution:
     """Optimal single-arc interior barrier: minimum Hamiltonian path of the
     vertices, by the circular-run dynamic program."""
-    n = len(poly)
-    v = poly.coords
-    d = np.hypot(v[:, None, 0] - v[None, :, 0], v[:, None, 1] - v[None, :, 1])
-    tables = hamiltonian_path_tables(poly)
-    best = None
-    for i in range(n):
-        ip1, im1 = (i + 1) % n, (i - 1) % n
-        opt_a = d[i, ip1] + tables.S[n - 2, ip1]
-        opt_b = d[i, im1] + tables.T[n - 2, ip1]
-        for val, mode in ((opt_a, "S"), (opt_b, "T")):
-            if best is None or val < best[0] - 1e-15:
-                best = (val, i, mode)
-    _, i, mode = best
-    order = [i] + _reconstruct_path(tables, n, mode, (i + 1) % n, n - 2)
+    lengths, choice_s, choice_t = hamiltonian_path_tables(poly)
+    order = _reconstruct_path(choice_s, choice_t, int(np.argmin(lengths)))
     pts = tuple(poly.vertices[k] for k in order)
     barrier = Barrier((pts,), "single-arc")
     return _solution(poly, barrier, "interior-arc", {"order": order})

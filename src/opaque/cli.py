@@ -26,7 +26,7 @@ from .barriers import (
     interior_single_arc,
 )
 from .fixtures import UnknownFixture, make_fixture, random_convex_polygon
-from .geometry import ConvexPolygon, Point2, PolygonError, cross2, validate_polygon
+from .geometry import ConvexPolygon, Point2, PolygonError, signed_area2, validate_polygon
 from .verify import is_opaque
 
 METHODS = {
@@ -88,11 +88,8 @@ def read_polygon(path: str, auto_orient: bool = False) -> ConvexPolygon:
         doc = json.load(fh)
     verts = doc["vertices"]
     pts = [(float(x), float(y)) for x, y in verts]
-    if auto_orient:
-        rel = np.array(pts) - pts[0]
-        area2 = float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
-        if area2 < 0.0:
-            pts = pts[::-1]
+    if auto_orient and signed_area2(pts) < 0.0:
+        pts = pts[::-1]
     return validate_polygon(pts)
 
 

@@ -215,10 +215,6 @@ class ConvexPolygon:
     def tol_touch(self) -> float:
         return TOL_TOUCH_REL * self.diameter
 
-    @property
-    def tol_area(self) -> float:
-        return TOL_AREA_REL * self.diameter ** 2
-
     def edge_normals_offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Inward unit normals m_i and offsets o_i with interior
         {q : m_i . q >= o_i for all i}."""
@@ -228,6 +224,17 @@ class ConvexPolygon:
         m = np.column_stack([-e[:, 1], e[:, 0]]) / lengths[:, None]
         o = np.einsum("ij,ij->i", m, v)
         return m, o
+
+
+def signed_area2(pts) -> float:
+    """Twice the signed area of a vertex cycle, positive counterclockwise.
+
+    The shoelace sum is taken about vertex 0: on raw coordinates far from
+    the origin its terms cancel catastrophically and the sign is noise.
+    """
+    rel = np.asarray(pts, dtype=float)
+    rel = rel - rel[0]
+    return float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
 
 
 def _check_polygon(pts: list[Point2]) -> None:
@@ -256,12 +263,8 @@ def _check_polygon(pts: list[Point2]) -> None:
         i, j = sorted((int(order[k]), int(order[k + 1])))
         raise DuplicateVertex(f"vertices {i} and {j} coincide")
     cross = cross2(d, np.roll(d, -1, axis=0))
-    # the shoelace sum about vertex 0: on raw coordinates far from the
-    # origin its terms cancel catastrophically and the sign is noise
-    rel = arr - arr[0]
-    area2 = float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
     tol_area = TOL_AREA_REL * span ** 2
-    if area2 < -tol_area:
+    if signed_area2(arr) < -tol_area:
         raise WrongOrientation("vertices are clockwise (pass counterclockwise, "
                                "or use --auto-orient in the CLI)")
     if np.any(cross <= tol_area):

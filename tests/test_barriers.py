@@ -329,3 +329,25 @@ class TestOutputsAreOpaque:
                 assert is_opaque(poly, sol.barrier).opaque, fn.__name__
                 assert sol.ratio >= 1.0 - 1e-9
                 assert sol.lower_bound == pytest.approx(poly.perimeter / 2)
+
+
+class TestScaleInvariance:
+    @staticmethod
+    def perturbed_ngon(n):
+        # radii 1e-11 apart: candidate lengths tie to about 1e-11, so an
+        # absolute tie tolerance decides the winner at small scales
+        rng = np.random.default_rng(n)
+        r = 1.0 + 1e-11 * rng.uniform(-1.0, 1.0, n)
+        a = 2.0 * math.pi * np.arange(n) / n
+        return np.column_stack([r * np.cos(a), r * np.sin(a)])
+
+    @pytest.mark.parametrize("method", [algo_a3, interior_single_arc],
+                             ids=["a3", "interior-arc"])
+    def test_length_scales(self, method):
+        for n in range(5, 16):
+            pts = self.perturbed_ngon(n)
+            poly = validate_polygon(pts)
+            want = method(poly).length
+            for scale in (1e-6, 1e6):
+                got = method(validate_polygon(pts * scale)).length / scale
+                assert abs(got - want) <= 1e-14 * poly.diameter, (n, scale)

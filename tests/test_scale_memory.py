@@ -5,7 +5,8 @@ projection matrix at n = 16384 alone takes 2.1 GB.  The verifier tests
 directions in fixed-size blocks, so its projection arrays stay bounded
 however many critical directions there are, and a one-component
 barrier whose hull holds the polygon needs no directions at all: the hull
-test is O(n + m).  Peaks are measured with tracemalloc and never timed:
+test is O(n + m).  The interior-arc DP keeps two float rows, so its
+memory is the 2n^2 bytes of its choice tables.  Peaks are measured with tracemalloc and never timed:
 tracing slows Python loops many fold, so times are taken untraced.
 """
 
@@ -52,6 +53,12 @@ def test_large_polygon_peak_memory(shape, method):
     poly = LARGE[shape]()
     assert len(poly) in (16383, 16384)
     assert peak_bytes(method, poly) < 64 * MB
+
+
+def test_interior_arc_peak_memory():
+    # two float rows and two n x n bool choice tables (32 MB); one n x n
+    # float array alone would take 128 MB
+    assert peak_bytes(interior_single_arc, regular_ngon(4096)) < 64 * MB
 
 
 def test_a2_odd_ngon_peak_memory():
