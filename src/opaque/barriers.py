@@ -14,6 +14,7 @@ Exact interior barriers:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,7 +70,7 @@ class Barrier:
         if self.kind == "connected" and not _polylines_connected(clean):
             raise ValueError("polylines of a connected barrier must touch")
 
-    @property
+    @functools.cached_property
     def length(self) -> float:
         return sum(polyline_length(pl) for pl in self.polylines)
 
@@ -225,21 +226,13 @@ def _u_lengths(poly: ConvexPolygon, thetas):
     return i1, i2, t0, (tmin[0] - t0) + (tmin[1] - t0) + arc
 
 
-def _u_metrics(poly: ConvexPolygon, theta: float):
-    """Contact indices, baseline offset and total length of U(P, theta)."""
-    i1, i2, t0, length = _u_lengths(poly, [theta])
-    return int(i1[0]), int(i2[0]), float(t0[0]), float(length[0])
-
-
-def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
-    """Single-arc barrier: drop, boundary chain opposite the baseline, drop.
-
-    ``baseline`` is an oriented direction in [0, 2*pi); the baseline line is
-    tangent to the polygon with the polygon on its left.
-    """
-    theta = canon_oriented_angle(baseline)
+def _shortest_u_curve(poly: ConvexPolygon, thetas) -> UCurve:
+    """The shortest U-curve over an array of baselines, first on ties,
+    built from the contacts its scoring found."""
+    i1, i2, _, lengths = _u_lengths(poly, thetas)
+    k = int(np.argmin(lengths))
+    theta, i1, i2 = float(thetas[k]), int(i1[k]), int(i2[k])
     nrm = unit_normal(theta)
-    i1, i2, _, _ = _u_metrics(poly, theta)
     t = poly.coords @ nrm
     t0 = t.min()  # one rounding for the baseline and both drops
     pts = [poly.vertices[i] for i in (i1 - np.arange((i1 - i2) % len(poly) + 1)) % len(poly)]
@@ -249,16 +242,22 @@ def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
     return UCurve(theta, tuple(poly_pts), float(polyline_length(poly_pts)))
 
 
+def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
+    """Single-arc barrier: drop, boundary chain opposite the baseline, drop.
+
+    ``baseline`` is an oriented direction in [0, 2*pi); the baseline line is
+    tangent to the polygon with the polygon on its left.
+    """
+    return _shortest_u_curve(poly, [canon_oriented_angle(baseline)])
+
+
 def algo_a1(poly: ConvexPolygon) -> BarrierSolution:
     """Shorter of the two U-curves of the minimum-width strip."""
     alpha_star, w, strip = min_width(poly)
     phi = strip.direction
-    cands = [phi, canon_oriented_angle(phi + math.pi)]
-    lengths = _u_lengths(poly, cands)[3]
-    theta = cands[int(np.argmin(lengths))]
-    curve = u_curve(poly, theta)
+    curve = _shortest_u_curve(poly, [phi, canon_oriented_angle(phi + math.pi)])
     barrier = Barrier((curve.polyline,), "single-arc")
-    return _solution(poly, barrier, "a1", {"width": w, "baseline": theta})
+    return _solution(poly, barrier, "a1", {"width": w, "baseline": curve.baseline})
 
 
 def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
@@ -291,10 +290,9 @@ def algo_a3(poly: ConvexPolygon) -> BarrierSolution:
     e = np.roll(poly.coords, -1, axis=0) - poly.coords
     thetas = np.unique(canon_oriented_angle(
         np.arctan2(e[:, 1], e[:, 0])[:, None] + [0.0, math.pi / 2.0, -math.pi / 2.0]))
-    theta = float(thetas[np.argmin(_u_lengths(poly, thetas)[3])])
-    curve = u_curve(poly, theta)
+    curve = _shortest_u_curve(poly, thetas)
     barrier = Barrier((curve.polyline,), "single-arc")
-    return _solution(poly, barrier, "a3", {"baseline": theta})
+    return _solution(poly, barrier, "a3", {"baseline": curve.baseline})
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,10 @@ class ConvexPolygon:
     """
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
-        pts = [Point2(float(p[0]), float(p[1])) for p in vertices]
-        _check_polygon(pts)
-        self.vertices: tuple[Point2, ...] = tuple(pts)
-        self._coords = np.array(pts, dtype=float)
+        pairs = [(float(p[0]), float(p[1])) for p in vertices]
+        self._coords = np.array(pairs, dtype=float)
+        _check_polygon(self._coords)
+        self.vertices: tuple[Point2, ...] = tuple(map(Point2._make, pairs))
         self._perimeter: float | None = None
         self._diameter: float | None = None
         self._cum: np.ndarray | None = None
@@ -237,11 +237,10 @@ def signed_area2(pts) -> float:
     return float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
 
 
-def _check_polygon(pts: list[Point2]) -> None:
-    n = len(pts)
+def _check_polygon(arr: np.ndarray) -> None:
+    n = len(arr)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
-    arr = np.array(pts, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise PolygonError("non-finite vertex coordinate")
     span = float(np.hypot(*(arr.max(axis=0) - arr.min(axis=0))))
@@ -334,7 +333,7 @@ def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
     # distance of the farthest vertex to each edge line
     widths = support_window(poly, m[:, 0], m[:, 1])[2].max(axis=1) - o
     wmin = float(widths.min())
-    tol = TOL_AREA_REL * poly.diameter
+    tol = TOL_LEN_REL * poly.diameter
     candidates = np.nonzero(widths <= wmin + tol)[0]
     # alpha = direction of the inward normal, canonicalized
     alpha_star, k = min((canon_line_angle(math.atan2(m[i, 1], m[i, 0])), int(i))

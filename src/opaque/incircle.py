@@ -1,10 +1,10 @@
 """Largest inscribed circle (Chebyshev center) and the circumscribed
 tangent triangle used by the Steiner-tree barrier candidate.
 
-The Chebyshev center is found by linear programming and then polished on
-the tight constraint set so the radius is accurate to machine precision
-(the touching-edge classification and the width/3 inradius bound both
-need far better accuracy than LP solver defaults give).
+The Chebyshev center is found by linear programming and then fixed exactly
+from the edges the optimal basis binds, so the radius is accurate to
+machine precision (the touching-edge classification and the width/3
+inradius bound both need far better accuracy than LP solver defaults give).
 """
 
 from __future__ import annotations
@@ -49,63 +49,41 @@ class TangentTriangle:
 def largest_inscribed_circle(poly: ConvexPolygon) -> InscribedCircle:
     """Chebyshev center of the polygon.
 
-    Maximizes r subject to signed distance >= r from every edge line; among
-    optimal centers the one with maximum clearance from the non-binding
-    edges is chosen (so a 2x1 rectangle reports only the long-edge
-    antipodal pair as touching).
+    Maximizes r subject to signed distance >= r from every edge line, in a
+    frame where vertex 0 is the origin and the diameter is 1, so the LP
+    solver's absolute tolerances are relative to the polygon.  The edges
+    with a nonzero dual in the optimal basis fix the center exactly: three
+    meet in one point; two balance only when antipodal, and then the
+    optimal centers fill a segment of their mid-line whose midpoint is
+    taken (so a 3x1 rectangle reports only its long sides as touching).
     """
     m, o = poly.edge_normals_offsets()
-    n = len(o)
     diam = poly.diameter
+    v0 = poly.coords[0]
+    o = (o - m @ v0) / diam
     # variables (cx, cy, r): maximize r s.t. m.c - r >= o
-    a_ub = np.column_stack([-m, np.ones(n)])
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=-o,
-                  bounds=[(None, None), (None, None), (0.0, None)],
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([-m, np.ones(len(o))]),
+                  b_ub=-o, bounds=[(None, None), (None, None), (0.0, None)],
                   method="highs")
     if not res.success:
         raise InconsistentIncircle(f"incircle LP failed: {res.message}")
-    c = res.x[:2]
-
-    c, r = _polish(m, o, c, diam)
-    dist = m @ c - o
-    touching = frozenset(int(i) for i in np.nonzero(dist - r <= poly.tol_touch)[0])
-    if len(touching) < 2 or r <= 0.0:
-        raise InconsistentIncircle("degenerate incircle solution")
-    return InscribedCircle(Point2(float(c[0]), float(c[1])), r, touching)
-
-
-def _polish(m: np.ndarray, o: np.ndarray, c: np.ndarray, diam: float):
-    """Refine the LP center to machine precision.
-
-    The LP locates the optimum only to solver tolerance, and on a flat
-    optimal face (antipodal pair) it may stop at an arbitrary face vertex.
-    The exact Chebyshev center is determined by an active edge triple or an
-    antipodal edge pair, so re-solve those in closed form over the
-    near-tight edges.  Among the candidate centers the one whose sorted
-    clearance vector is lexicographically largest wins: that maximizes the
-    radius first and then prefers the most interior optimal center, so only
-    genuinely binding edges end up classified as touching.
-    """
+    ids = np.nonzero(res.ineqlin.marginals)[0]
+    if len(ids) == 3:
+        c = np.linalg.solve(np.column_stack([m[ids], -np.ones(3)]), o[ids])[:2]
+    elif len(ids) == 2:
+        i, j = ids
+        rp = -(o[i] + o[j]) / 2.0
+        c0 = res.x[:2] + (o[i] + rp - m[i] @ res.x[:2]) * m[i]
+        c = _pair_center(m, o, c0, rp, int(i))
+    else:
+        raise InconsistentIncircle(f"incircle LP binds {len(ids)} edges")
     dist = m @ c - o
     r = float(dist.min())
-    near = np.nonzero(dist - r <= 1e-5 * diam)[0]
-    if len(near) > 12:
-        near = near[np.argsort(dist[near])][:12]
-    candidates = [c]
-    for triple in itertools.combinations(near, 3):
-        ids = list(triple)
-        a = np.column_stack([m[ids], -np.ones(3)])
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        sol = np.linalg.solve(a, o[ids])
-        candidates.append(sol[:2])
-    for i, j in itertools.combinations(near, 2):
-        if m[i] @ m[j] < -1.0 + 1e-9:
-            rp = -(o[i] + o[j]) / 2.0
-            c0 = c + (o[i] + rp - m[i] @ c) * m[i]
-            candidates.append(_pair_center(m, o, c0, rp, int(i)))
-    best = max(candidates, key=lambda cc: tuple(np.sort(m @ cc - o)))
-    return best, float((m @ best - o).min())
+    touching = frozenset(int(i) for i in np.nonzero(dist - r <= TOL_TOUCH_REL)[0])
+    if len(touching) < 2 or r <= 0.0:
+        raise InconsistentIncircle("degenerate incircle solution")
+    c = v0 + diam * c
+    return InscribedCircle(Point2(float(c[0]), float(c[1])), diam * r, touching)
 
 
 def _pair_center(m: np.ndarray, o: np.ndarray, c0: np.ndarray, r: float,

@@ -129,14 +129,17 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
 
 
 def _steiner_four(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
-    best_edges, best_len = euclidean_mst(pts)
-    best_nodes = list(pts)
+    # no MST candidate: the MST has a leaf, and the 3+1 tree that skips it is
+    # never longer (the three-point tree is at most the MST of the other three,
+    # and the leaf's MST edge is its shortest edge to them)
+    best_nodes, best_edges, best_len = None, None, math.inf
     diam = max(math.dist(a, b) for a in pts for b in pts)
 
     # full topologies ab|cd by Melzak's construction: e1 (e2) is the outward
     # equilateral apex on ab (cd), and each junction is the Fermat point of
     # its terminal pair and the other side's apex.  The length is measured on
-    # the constructed nodes, so an invalid construction only loses.
+    # the constructed nodes, so an invalid construction only loses to the
+    # 3+1 candidates.
     arr = np.array(pts, dtype=float)
     for pair1, pair2 in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
         a, b = arr[list(pair1)]

@@ -22,7 +22,7 @@ from opaque import (
     u_curve,
     validate_polygon,
 )
-from opaque.barriers import _u_metrics
+from opaque.barriers import _u_lengths
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -225,7 +225,7 @@ class TestAlgoA3:
         thetas = np.linspace(0.0, 2 * math.pi, 20000, endpoint=False)
         for poly in poly_list:
             best = algo_a3(poly).length
-            grid = min(_u_metrics(poly, float(t))[3] for t in thetas)
+            grid = _u_lengths(poly, thetas)[3].min()
             assert best <= grid + 1e-7 * poly.diameter
 
 

@@ -1,15 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from opaque import (
     algo_a2,
     largest_inscribed_circle,
+    make_fixture,
     min_width,
     tangent_triangle,
     validate_polygon,
 )
+from opaque.incircle import _pair_center
 
 from conftest import regular_ngon
 
@@ -43,6 +47,11 @@ class TestInscribedCircle:
         # sides are not in the touching set
         assert circ.touching_edges == frozenset({0, 2})
         assert 0.5 < circ.center.x < 2.5
+        for k in range(200):
+            c, s = math.cos(0.0157 * k), math.sin(0.0157 * k)
+            poly = validate_polygon([(c * x - s * y, s * x + c * y)
+                                     for x, y in ((0, 0), (3, 0), (3, 1), (0, 1))])
+            assert largest_inscribed_circle(poly).touching_edges == frozenset({0, 2})
 
     def test_regular_ngon(self):
         poly = regular_ngon(7)
@@ -148,3 +157,65 @@ class TestTangentTriangle:
                 a, b = corners[i], corners[(i + 1) % 3]
                 d = abs(_xp(b - a, c - a)) / np.linalg.norm(b - a)
                 assert d == pytest.approx(circ.radius, rel=1e-6)
+
+
+def ref_incircle(poly):
+    """The Chebyshev center as first written: the LP in raw coordinates,
+    then every triple and antipodal pair among the near-tight edges, ranked
+    by their sorted clearance vectors."""
+    m, o = poly.edge_normals_offsets()
+    n = len(o)
+    diam = poly.diameter
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([-m, np.ones(n)]), b_ub=-o,
+                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
+    assert res.success
+    c = res.x[:2]
+    dist = m @ c - o
+    r = float(dist.min())
+    near = np.nonzero(dist - r <= 1e-5 * diam)[0]
+    if len(near) > 12:
+        near = near[np.argsort(dist[near])][:12]
+    candidates = [c]
+    for triple in itertools.combinations(near, 3):
+        ids = list(triple)
+        a = np.column_stack([m[ids], -np.ones(3)])
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        candidates.append(np.linalg.solve(a, o[ids])[:2])
+    for i, j in itertools.combinations(near, 2):
+        if m[i] @ m[j] < -1.0 + 1e-9:
+            rp = -(o[i] + o[j]) / 2.0
+            c0 = c + (o[i] + rp - m[i] @ c) * m[i]
+            candidates.append(_pair_center(m, o, c0, rp, int(i)))
+    c = max(candidates, key=lambda cc: tuple(np.sort(m @ cc - o)))
+    dist = m @ c - o
+    r = float(dist.min())
+    return c, r, frozenset(int(i) for i in np.nonzero(dist - r <= poly.tol_touch)[0])
+
+
+def test_basis_center_matches_polished_reference(ratio_polys, small_polys):
+    reuleaux = [make_fixture("reuleaux-poly", m=m, shave=shave).polygon
+                for m in (3, 4, 5, 6, 8, 12, 20, 40, 100) for shave in (0.0, 1e-3)]
+    corpus = (ratio_polys + small_polys + [regular_ngon(k) for k in range(3, 65)]
+              + reuleaux)
+    assert len(corpus) == 1280
+    for poly in corpus:
+        circ = largest_inscribed_circle(poly)
+        c, r, touching = ref_incircle(poly)
+        assert circ.touching_edges == touching
+        assert abs(circ.radius - r) <= 1e-12 * poly.diameter
+        assert math.dist(circ.center, c) <= 1e-12 * poly.diameter
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+def test_a2_scale_and_translation(ratio_polys, scale):
+    # the LP runs in a unit-diameter frame, so neither the polygon's size
+    # nor its distance from the origin reaches the solver's tolerances
+    polys = ratio_polys[::50] + [
+        regular_ngon(7), validate_polygon([(0, 0), (3, 0), (3, 1), (0, 1)])]
+    for poly in polys:
+        length, diam = algo_a2(poly).length, poly.diameter
+        for shift in (0.0, 1e3, 1e6):
+            offset = shift * scale * diam * np.array([0.6, 0.8])
+            copy = validate_polygon(poly.coords * scale + offset)
+            assert abs(algo_a2(copy).length / scale - length) <= 1e-9 * diam

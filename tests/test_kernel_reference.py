@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from opaque import algo_a3, make_fixture, min_perimeter_rectangle, min_width, validate_polygon
-from opaque.barriers import _u_lengths, _u_metrics
+from opaque.barriers import _u_lengths
 from opaque.geometry import (
     TOL_AREA_REL,
     TOL_GEOM_REL,
@@ -133,7 +133,7 @@ def check_kernel(poly):
     assert i1.tolist() == [r[0] for r in ref] and i2.tolist() == [r[1] for r in ref]
     assert np.abs(t0 - [r[2] for r in ref]).max() <= REL * diam
     assert np.abs(lengths - [r[3] for r in ref]).max() <= REL * diam
-    assert _u_metrics(poly, thetas[0])[3] == lengths[0]
+    assert _u_lengths(poly, thetas[:1])[3][0] == lengths[0]
 
     best = None
     for th, r in zip(thetas, ref):
