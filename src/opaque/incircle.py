@@ -1,10 +1,11 @@
 """Largest inscribed circle (Chebyshev center) and the circumscribed
 tangent triangle used by the Steiner-tree barrier candidate.
 
-The Chebyshev center is found by linear programming and then fixed exactly
-from the edges the optimal basis binds, so the radius is accurate to
-machine precision (the touching-edge classification and the width/3
-inradius bound both need far better accuracy than LP solver defaults give).
+The Chebyshev center is the optimum of a three-variable LP, solved by a
+small dual simplex in a frame where the polygon has unit diameter; the
+edges its optimal basis binds then fix the center exactly, so the radius
+is accurate to machine precision (the touching-edge classification and
+the width/3 inradius bound both need that accuracy).
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import (
     ConvexPolygon,
     InconsistentIncircle,
     Point2,
     TOL_ANG,
+    TOL_LEN_REL,
     TOL_TOUCH_REL,
     cross2,
 )
@@ -50,30 +51,28 @@ def largest_inscribed_circle(poly: ConvexPolygon) -> InscribedCircle:
     """Chebyshev center of the polygon.
 
     Maximizes r subject to signed distance >= r from every edge line, in a
-    frame where vertex 0 is the origin and the diameter is 1, so the LP
-    solver's absolute tolerances are relative to the polygon.  The edges
-    with a nonzero dual in the optimal basis fix the center exactly: three
-    meet in one point; two balance only when antipodal, and then the
-    optimal centers fill a segment of their mid-line whose midpoint is
-    taken (so a 3x1 rectangle reports only its long sides as touching).
+    frame where vertex 0 is the origin and the diameter is 1, so every
+    tolerance below is relative to the polygon.  The edges with a nonzero
+    dual in the optimal basis fix the center exactly: three meet in one
+    point; two balance only when antipodal, and then the optimal centers
+    fill a segment of their mid-line whose midpoint is taken (so a 3x1
+    rectangle reports only its long sides as touching).
     """
     m, o = poly.edge_normals_offsets()
     diam = poly.diameter
     v0 = poly.coords[0]
     o = (o - m @ v0) / diam
-    # variables (cx, cy, r): maximize r s.t. m.c - r >= o
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([-m, np.ones(len(o))]),
-                  b_ub=-o, bounds=[(None, None), (None, None), (0.0, None)],
-                  method="highs")
-    if not res.success:
-        raise InconsistentIncircle(f"incircle LP failed: {res.message}")
-    ids = np.nonzero(res.ineqlin.marginals)[0]
+    basis, x, y = _chebyshev_basis(m, o)
+    # a dual y_k <= TOL_LEN_REL on the third edge of a binding pair means the
+    # pair is antiparallel to within about 2 * TOL_LEN_REL, so sliding the
+    # center along their mid-line changes r by at most TOL_LEN_REL * diam
+    ids = np.sort(basis[y > TOL_LEN_REL])
     if len(ids) == 3:
         c = np.linalg.solve(np.column_stack([m[ids], -np.ones(3)]), o[ids])[:2]
     elif len(ids) == 2:
         i, j = ids
         rp = -(o[i] + o[j]) / 2.0
-        c0 = res.x[:2] + (o[i] + rp - m[i] @ res.x[:2]) * m[i]
+        c0 = x[:2] + (o[i] + rp - m[i] @ x[:2]) * m[i]
         c = _pair_center(m, o, c0, rp, int(i))
     else:
         raise InconsistentIncircle(f"incircle LP binds {len(ids)} edges")
@@ -84,6 +83,52 @@ def largest_inscribed_circle(poly: ConvexPolygon) -> InscribedCircle:
         raise InconsistentIncircle("degenerate incircle solution")
     c = v0 + diam * c
     return InscribedCircle(Point2(float(c[0]), float(c[1])), diam * r, touching)
+
+
+def _chebyshev_basis(m: np.ndarray, o: np.ndarray):
+    """Optimal basis of: maximize r s.t. m_i . c - r >= o_i, by the dual
+    simplex.  Returns the three basis edges, the vertex (cx, cy, r) they fix
+    and their duals.
+
+    A basis is three edges whose lines fix (c, r) by a 3x3 solve.  Its
+    duals y solve sum y_i m_i = 0, sum y_i = 1, so it is dual feasible
+    (y >= 0) when the three inward normals positively span the plane: the
+    three lines bound a triangle around the polygon and (c, r) is that
+    triangle's incircle.  Each pivot brings in the edge line that cuts
+    deepest into the circle and drops the basis edge the ratio test picks,
+    which keeps y >= 0, so r never rises.  In the unit frame a slack is a
+    length, and one above -TOL_LEN_REL counts as clear.
+    """
+    n = len(o)
+    a = np.column_stack([m, -np.ones(n)])
+    # edge 0, the edge whose normal is nearest the antipode of m_0, and the
+    # neighbour of that edge on the far side of the antipode
+    j = int((m @ m[0]).argmin())
+    k = (j + 1) % n if cross2(m[0], m[j]) >= 0.0 else (j - 1) % n
+    basis = np.array([0, j, k])
+    seen = set()
+    while True:
+        inv = np.linalg.inv(a[basis])
+        x = inv @ o[basis]
+        y = -inv[2]
+        slack = a @ x - o
+        e = int(slack.argmin())
+        if slack[e] >= -TOL_LEN_REL:
+            return basis, x, y
+        # in exact arithmetic no basis comes back: a pivot lowers r or, with
+        # an antipodal pair in the basis (a zero dual), slides the circle
+        # further along the pair's strip; a repeat means rounding took over
+        key = frozenset(basis.tolist())
+        if key in seen:
+            raise InconsistentIncircle("incircle simplex revisits a basis")
+        seen.add(key)
+        w = a[e] @ inv
+        up = w > 0.0
+        if not up.any():
+            raise InconsistentIncircle("incircle LP is infeasible")
+        ratio = np.full(3, np.inf)
+        ratio[up] = np.maximum(y[up], 0.0) / w[up]
+        basis[int(ratio.argmin())] = e
 
 
 def _pair_center(m: np.ndarray, o: np.ndarray, c0: np.ndarray, r: float,

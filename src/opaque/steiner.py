@@ -1,6 +1,7 @@
 """Euclidean Steiner constructions: three-point Fermat stars, minimum
-spanning trees, an exact four-terminal solver (Melzak's construction), and
-a star-merging heuristic for larger terminal sets in convex position.
+spanning trees (Prim's algorithm in O(n^2) time and O(n) memory), an exact
+four-terminal solver (Melzak's construction), and a star-merging heuristic
+for larger terminal sets in convex position.
 """
 
 from __future__ import annotations
@@ -8,8 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
-from scipy.spatial.distance import squareform, pdist
 
 from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, TOL_LEN_REL, Point2, cross2
 
@@ -93,14 +92,56 @@ def _outward_apex(q: np.ndarray, r: np.ndarray, opposite: np.ndarray) -> np.ndar
 
 
 def euclidean_mst(points) -> tuple[list[tuple[int, int]], float]:
+    """Minimum spanning tree of the complete Euclidean graph: its edges
+    (i, j), i < j, in ascending order, and its total length.
+
+    Prim's algorithm adds one vertex per step and keeps O(n) memory.  Edges
+    are ordered strictly by (length, i, j), with length the rounded
+    sqrt(dx*dx + dy*dy), so the tree is unique even where lengths tie (as
+    on regular polygons) and does not depend on the order of the steps.
+    """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    if n == 1:
-        return [], 0.0
-    dm = squareform(pdist(pts))
-    tree = minimum_spanning_tree(dm).tocoo()
-    edges = [(int(i), int(j)) for i, j in zip(tree.row, tree.col)]
-    return edges, float(tree.data.sum())
+    # best[v] and end[v]: length and tree end of the lightest edge from v to
+    # the tree.  A tree vertex gets NaN coordinates, so no comparison updates
+    # it, and best = inf, so argmin never picks it.
+    x = pts[:, 0].copy()
+    y = pts[:, 1].copy()
+    best = np.full(n, np.inf)
+    end = np.zeros(n, dtype=np.intp)
+    u = 0
+    found = []
+    for _ in range(n - 1):
+        ux, uy = x[u], y[u]
+        x[u] = y[u] = np.nan
+        dx = x - ux
+        dy = y - uy
+        dx *= dx
+        dy *= dy
+        d = dx + dy
+        np.sqrt(d, out=d)
+        # equal lengths are rare off regular polygons: order them by index
+        # only where == finds one
+        tie = d == best
+        if np.count_nonzero(tie):
+            for v in np.flatnonzero(tie).tolist():
+                e = int(end[v])
+                if (min(u, v), max(u, v)) < (min(e, v), max(e, v)):
+                    end[v] = u
+        closer = d < best
+        np.copyto(best, d, where=closer)
+        np.copyto(end, u, where=closer)
+        k = int(best.argmin())
+        w = best[k]
+        if n - 1 - int(best[::-1].argmin()) != k:  # the minimum is not unique
+            k = min(np.flatnonzero(best == w).tolist(),
+                    key=lambda v: (min(v, int(end[v])), max(v, int(end[v]))))
+        p = int(end[k])
+        found.append((min(k, p), max(k, p), w))
+        best[k] = np.inf
+        u = k
+    found.sort()
+    return [(i, j) for i, j, _ in found], float(np.sum([w for _, _, w in found]))
 
 
 def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opaque
 from opaque import random_convex_polygon
 from opaque.cli import main
 
@@ -215,3 +220,14 @@ class TestFixtureCommand:
         code, _, err = run(capsys, "fixture", "--name", "moebius")
         assert code == 3
         assert "unknown fixture" in err
+
+
+def test_import_loads_no_scipy():
+    # every CLI call pays the package import, and scipy's took about 0.5 s
+    src = str(Path(opaque.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, opaque, opaque.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

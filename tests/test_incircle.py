@@ -3,16 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from opaque import (
+    InconsistentIncircle,
+    InscribedCircle,
+    Point2,
+    PolygonError,
     algo_a2,
+    barriers,
     largest_inscribed_circle,
     make_fixture,
     min_width,
+    random_convex_polygon,
     tangent_triangle,
     validate_polygon,
 )
+from opaque.geometry import TOL_TOUCH_REL
 from opaque.incircle import _pair_center
 
 from conftest import regular_ngon
@@ -52,6 +60,21 @@ class TestInscribedCircle:
             poly = validate_polygon([(c * x - s * y, s * x + c * y)
                                      for x, y in ((0, 0), (3, 0), (3, 1), (0, 1))])
             assert largest_inscribed_circle(poly).touching_edges == frozenset({0, 2})
+
+    def test_tilted_rectangle_touches_its_wide_end(self):
+        # a long side tilted by 1e-10..5e-8 leaves one optimal center, at the
+        # wide end: the short side there binds with a dual of about half the
+        # tilt, far above rounding (HiGHS, within its 1e-7 feasibility
+        # tolerance, stopped at the narrow end of the unrotated ones)
+        for tilt in (1e-10, 1e-9, 5e-8):
+            lift = 2.0 * math.tan(tilt)
+            for corners, wide in ((((0, 0), (2, 0), (2, 1), (0, 1 + lift)), 3),
+                                  (((0, 0), (2, 0), (2, 1 + lift), (0, 1)), 1)):
+                for k in range(0, 200, 5):
+                    c, s = math.cos(0.0157 * k), math.sin(0.0157 * k)
+                    poly = validate_polygon([(c * x - s * y, s * x + c * y)
+                                             for x, y in corners])
+                    assert largest_inscribed_circle(poly).touching_edges == {0, 2, wide}
 
     def test_regular_ngon(self):
         poly = regular_ngon(7)
@@ -219,3 +242,95 @@ def test_a2_scale_and_translation(ratio_polys, scale):
             offset = shift * scale * diam * np.array([0.6, 0.8])
             copy = validate_polygon(poly.coords * scale + offset)
             assert abs(algo_a2(copy).length / scale - length) <= 1e-9 * diam
+
+
+def highs_incircle(poly):
+    """The Chebyshev center as solved before the dual simplex: scipy's
+    HiGHS on the same unit-frame LP, the center fixed from the edges with a
+    nonzero dual."""
+    m, o = poly.edge_normals_offsets()
+    diam = poly.diameter
+    v0 = poly.coords[0]
+    o = (o - m @ v0) / diam
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([-m, np.ones(len(o))]),
+                  b_ub=-o, bounds=[(None, None), (None, None), (0.0, None)],
+                  method="highs")
+    if not res.success:
+        raise InconsistentIncircle(f"incircle LP failed: {res.message}")
+    ids = np.nonzero(res.ineqlin.marginals)[0]
+    if len(ids) == 3:
+        c = np.linalg.solve(np.column_stack([m[ids], -np.ones(3)]), o[ids])[:2]
+    elif len(ids) == 2:
+        i, j = ids
+        rp = -(o[i] + o[j]) / 2.0
+        c0 = res.x[:2] + (o[i] + rp - m[i] @ res.x[:2]) * m[i]
+        c = _pair_center(m, o, c0, rp, int(i))
+    else:
+        raise InconsistentIncircle(f"incircle LP binds {len(ids)} edges")
+    dist = m @ c - o
+    r = float(dist.min())
+    touching = frozenset(int(i) for i in np.nonzero(dist - r <= TOL_TOUCH_REL)[0])
+    if len(touching) < 2 or r <= 0.0:
+        raise InconsistentIncircle("degenerate incircle solution")
+    c = v0 + diam * c
+    return InscribedCircle(Point2(float(c[0]), float(c[1])), diam * r, touching)
+
+
+def a2_copies(ratio_polys):
+    """The polygons of test_a2_scale_and_translation, scaled 1e-6..1e6 and
+    translated by 0, 1e3 and 1e6 diameters."""
+    polys = ratio_polys[::50] + [
+        regular_ngon(7), validate_polygon([(0, 0), (3, 0), (3, 1), (0, 1)])]
+    return [validate_polygon(poly.coords * scale + shift * scale * poly.diameter * np.array([0.6, 0.8]))
+            for scale in (1e-6, 1e-3, 1e3, 1e6) for shift in (0.0, 1e3, 1e6) for poly in polys]
+
+
+def test_simplex_matches_highs(ratio_polys, small_polys, monkeypatch):
+    reuleaux = [make_fixture("reuleaux-poly", m=m, shave=shave).polygon
+                for m in (3, 4, 5, 6, 8, 12, 20, 40, 100) for shave in (0.0, 1e-3)]
+    copies = a2_copies(ratio_polys)
+    corpus = (ratio_polys + small_polys + [regular_ngon(k) for k in range(3, 202)]
+              + reuleaux + copies)
+    assert len(corpus) == 1000 + 200 + 199 + 18 + 264
+    eps = np.finfo(float).eps
+    for poly in corpus:
+        circ, ref = largest_inscribed_circle(poly), highs_incircle(poly)
+        assert circ.touching_edges == ref.touching_edges
+        # the offsets m_i . v_i carry the rounding of the coordinates, about
+        # eps * max |coord|: at 1e6 diameters from the origin HiGHS, whose
+        # feasibility tolerance is 1e-7, stops at a regular 7-gon basis whose
+        # center misses other edges by up to 2e-10 diameters
+        tol = 1e-12 * poly.diameter + 4.0 * eps * float(np.abs(poly.coords).max())
+        assert circ.radius >= ref.radius - 1e-12 * poly.diameter
+        assert abs(circ.radius - ref.radius) <= tol
+        assert math.dist(circ.center, ref.center) <= tol
+    # tangent_triangle reads only the touching set, so a2 is compared on the
+    # transformed copies, where the LP's data is least well scaled
+    got = [algo_a2(poly).barrier for poly in copies]
+    monkeypatch.setattr(barriers, "largest_inscribed_circle", highs_incircle)
+    assert got == [algo_a2(poly).barrier for poly in copies]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 40),
+       log_scale=st.floats(-6.0, 6.0), log_shift=st.floats(-1.0, 6.0),
+       angle=st.floats(0.0, 2.0 * math.pi), psi=st.floats(0.0, 2.0 * math.pi),
+       roll=st.integers(0, 39))
+def test_incircle_similarity(seed, n, log_scale, log_shift, angle, psi, roll):
+    poly = random_convex_polygon(n, np.random.default_rng(seed))
+    n, diam = len(poly), poly.diameter
+    circ = largest_inscribed_circle(poly)
+    m, o = poly.edge_normals_offsets()
+    gap = (m @ np.array(circ.center) - o - circ.radius) / diam
+    # an edge whose clearance is near the touching tolerance may flip
+    assume(not np.any((gap > 0.5 * TOL_TOUCH_REL) & (gap < 2.0 * TOL_TOUCH_REL)))
+    s, k = 10.0 ** log_scale, roll % n
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    shift = 10.0 ** log_shift * s * diam * np.array([math.cos(psi), math.sin(psi)])
+    try:
+        copy = validate_polygon(np.roll(poly.coords, -k, axis=0) @ rot.T * s + shift)
+    except PolygonError:  # rounding far from the origin can break strict convexity
+        assume(False)
+    got = largest_inscribed_circle(copy)
+    assert abs(got.radius / s - circ.radius) <= 1e-9 * diam
+    assert got.touching_edges == frozenset((i - k) % n for i in circ.touching_edges)

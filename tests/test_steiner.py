@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial.distance import pdist, squareform
 
+from opaque import interior_connected, random_convex_polygon, steiner, validate_polygon
 from opaque.steiner import _fermat, euclidean_mst, steiner_three_points, steiner_tree
+
+from conftest import regular_ngon
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -91,11 +98,69 @@ class TestFermatPoint:
         assert on == 0
 
 
+def ref_mst(points):
+    """The MST as first written: the dense distance matrix and scipy's
+    Kruskal, which breaks length ties by (i, j).  The matrix goes in as a
+    sparse array, because scipy reads dense entries below 1e-8 as missing
+    edges (so a polygon scaled by 1e-6 got a longer tree)."""
+    dm = squareform(pdist(np.asarray(points, dtype=float)))
+    tree = minimum_spanning_tree(csr_array(dm)).tocoo()
+    return [(int(i), int(j)) for i, j in zip(tree.row, tree.col)], float(tree.data.sum())
+
+
+def mst_corpus():
+    """Regular polygons at three phases, every start vertex of the regular
+    pentagon and random hulls up to 886 vertices, each also scaled by 1e-6
+    and 1e6 and translated by 1e9."""
+    base = [np.array([(math.cos(2 * math.pi * k / n + phase), math.sin(2 * math.pi * k / n + phase))
+                      for k in range(n)])
+            for n in range(3, 201) for phase in (0.0, 0.3, 1.0)]
+    base += [np.roll(regular_ngon(5).coords, -j, axis=0) for j in range(5)]
+    rng = np.random.default_rng(886)
+    base += [random_convex_polygon(n, rng).coords
+             for n in (5, 6, 7, 9, 12, 16, 24, 40, 64, 120, 200, 500, 886)]
+    return [pts * scale + shift for pts in base
+            for scale, shift in ((1.0, 0.0), (1e-6, 0.0), (1e6, 0.0), (1.0, 1e9))]
+
+
+def test_prim_matches_kruskal_reference(monkeypatch):
+    corpus = mst_corpus()
+    assert len(corpus) == 4 * (594 + 5 + 13)
+    for pts in corpus:
+        assert euclidean_mst(pts) == ref_mst(pts)
+    # the star merge reads only the points and the MST's edge set, so the
+    # barriers are compared on every copy of every 12th regular polygon
+    # (the 3-, 15-, ..., 195-gon at phase 0) and of every other input; the
+    # whole corpus would take about four times as long
+    valid = [validate_polygon(pts) for k, pts in enumerate(corpus)
+             if k >= 4 * 594 or k % (4 * 36) < 4]
+    assert len(valid) == 4 * (17 + 5 + 13)
+    got = [interior_connected(poly).barrier for poly in valid]
+    monkeypatch.setattr(steiner, "euclidean_mst", ref_mst)
+    assert got == [interior_connected(poly).barrier for poly in valid]
+
+
+def test_mst_memory_is_linear():
+    # the dense distance matrix of the 8192-gon alone would take 512 MB
+    pts = regular_ngon(8192).coords
+    tracemalloc.start()
+    try:
+        edges, _ = euclidean_mst(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 8191
+    assert peak < 8 << 20
+
+
 class TestMst:
     def test_square(self):
         edges, length = euclidean_mst([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert length == pytest.approx(3.0, abs=1e-12)
-        assert len(edges) == 3
+        assert edges == [(0, 1), (0, 3), (1, 2)]
+
+    def test_single_point(self):
+        assert euclidean_mst([(2.0, 3.0)]) == ([], 0.0)
 
 
 class TestSteinerTree:
