@@ -183,7 +183,7 @@ def cmd_compute(args) -> int:
         return 3
     try:
         poly = read_polygon(args.input, auto_orient=args.auto_orient)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"invalid polygon: {exc}", file=sys.stderr)
         return 2
     sol = fn(poly)
@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
     try:
         poly = read_polygon(args.polygon, auto_orient=args.auto_orient)
         barrier = read_barrier(args.barrier)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
     report = is_opaque(poly, barrier)
@@ -263,7 +263,12 @@ def cmd_fixture(args) -> int:
     params = {}
     for item in args.param:
         key, _, value = item.partition("=")
-        params[key] = float(value) if "." in value else int(value)
+        try:
+            params[key] = float(value) if "." in value else int(value)
+        except ValueError:
+            print(f"bad parameter {item!r}; expected KEY=VALUE with an integer "
+                  "or decimal value", file=sys.stderr)
+            return 2
     try:
         fix = make_fixture(args.name, **params)
     except UnknownFixture:

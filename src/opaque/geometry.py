@@ -1,8 +1,9 @@
 """Planar primitives and convex-polygon computations.
 
 Everything downstream (barrier construction, verification) consumes the
-operations here: polygon validation, widths, rotating-calipers style
-enumerations, projections.
+operations here: polygon validation and each polygon's one edge frame,
+widths, rotating-calipers style enumerations through one extreme-vertex
+lookup (``extreme_index``), projections.
 
 Conventions:
   * polygons are counterclockwise vertex cycles, strictly convex;
@@ -149,13 +150,23 @@ class ConvexPolygon:
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
         pairs = [(float(p[0]), float(p[1])) for p in vertices]
-        self._coords = np.array(pairs, dtype=float)
-        _check_polygon(self._coords)
+        self._coords = _read_only(np.array(pairs, dtype=float))
+        edges = _check_polygon(self._coords)
         self.vertices: tuple[Point2, ...] = tuple(map(Point2._make, pairs))
-        self._perimeter: float | None = None
+        # the edge frame, computed once and shared read-only: edge i runs
+        # from vertex i to vertex i + 1
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        self.edge_lengths = _read_only(lengths)
+        self.perimeter = float(lengths.sum())
+        # cum[i] = boundary length from vertex 0 to vertex i, counterclockwise
+        self.cumulative_lengths = _read_only(
+            np.concatenate(([0.0], np.cumsum(lengths)[:-1])))
+        # outward edge-normal angles, unwrapped to increase from edge 0's:
+        # vertex k is extreme for the directions between entries k-1 and k
+        self.normal_angles = _read_only(normal_angles(edges))
+        m = np.column_stack([-edges[:, 1], edges[:, 0]]) / lengths[:, None]
+        self._inward = _read_only(m), _read_only(np.einsum("ij,ij->i", m, self._coords))
         self._diameter: float | None = None
-        self._cum: np.ndarray | None = None
-        self._normal_angles: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -169,38 +180,11 @@ class ConvexPolygon:
         return self._coords
 
     @property
-    def edge_lengths(self) -> np.ndarray:
-        d = np.roll(self._coords, -1, axis=0) - self._coords
-        return np.hypot(d[:, 0], d[:, 1])
-
-    @property
-    def cumulative_lengths(self) -> np.ndarray:
-        """cum[i] = boundary length from vertex 0 to vertex i, counterclockwise."""
-        if self._cum is None:
-            self._cum = np.concatenate(([0.0], np.cumsum(self.edge_lengths)[:-1]))
-        return self._cum
-
-    @property
-    def perimeter(self) -> float:
-        if self._perimeter is None:
-            self._perimeter = float(self.edge_lengths.sum())
-        return self._perimeter
-
-    @property
-    def normal_angles(self) -> np.ndarray:
-        """Outward edge-normal angles, unwrapped to increase from edge 0's:
-        vertex k is extreme for the directions between entries k-1 and k."""
-        if self._normal_angles is None:
-            e = np.roll(self._coords, -1, axis=0) - self._coords
-            self._normal_angles = np.unwrap(np.arctan2(-e[:, 0], e[:, 1]))
-        return self._normal_angles
-
-    @property
     def diameter(self) -> float:
         """Largest vertex-to-vertex distance, over the antipodal pairs."""
         if self._diameter is None:
             # the vertices farthest from each edge line, with both endpoints
-            m, _ = self.edge_normals_offsets()
+            m, _ = self._inward
             far = self._coords[support_window(self, m[:, 0], m[:, 1])[0]]
             ends = self._coords[(np.arange(len(m))[:, None] + [0, 1]) % len(m)]
             d = far[:, :, None, :] - ends[:, None, :, :]
@@ -218,12 +202,27 @@ class ConvexPolygon:
     def edge_normals_offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Inward unit normals m_i and offsets o_i with interior
         {q : m_i . q >= o_i for all i}."""
-        v = self._coords
-        e = np.roll(v, -1, axis=0) - v
-        lengths = np.hypot(e[:, 0], e[:, 1])
-        m = np.column_stack([-e[:, 1], e[:, 0]]) / lengths[:, None]
-        o = np.einsum("ij,ij->i", m, v)
-        return m, o
+        return self._inward
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def normal_angles(edges: np.ndarray) -> np.ndarray:
+    """Outward normal angles of the edge vectors of a counterclockwise
+    convex polygon, unwrapped so they increase from edge 0's and span
+    less than 2*pi."""
+    return np.unwrap(np.arctan2(-edges[:, 0], edges[:, 1]))
+
+
+def extreme_index(nrm: np.ndarray, theta) -> np.ndarray:
+    """For unwrapped normal angles ``nrm`` (see ``normal_angles``), the
+    index k in 1..n, read mod n, of the vertex extreme in each direction
+    theta: the number of entries at or below theta once theta is brought
+    into [nrm[0], nrm[0] + 2*pi).  A binary search, O(log n) per direction."""
+    return np.searchsorted(nrm, nrm[0] + np.mod(theta - nrm[0], TWO_PI), side="right")
 
 
 def signed_area2(pts) -> float:
@@ -237,7 +236,8 @@ def signed_area2(pts) -> float:
     return float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
 
 
-def _check_polygon(arr: np.ndarray) -> None:
+def _check_polygon(arr: np.ndarray) -> np.ndarray:
+    """Raise the first validation failure; return the edge vectors."""
     n = len(arr)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
@@ -270,6 +270,7 @@ def _check_polygon(arr: np.ndarray) -> None:
         i = int(np.argmin(cross))
         raise NotStrictlyConvex(
             f"collinear or reflex turn at vertex {(i + 1) % n}")
+    return d
 
 
 def validate_polygon(points: Sequence[tuple[float, float]]) -> ConvexPolygon:
@@ -299,18 +300,16 @@ def support_window(poly: ConvexPolygon, ux, uy, eps: float = 0.0):
 
     Returns (cand, near, proj): a (directions, w) array of vertex indices,
     the mask of those within eps of the largest, and their projections.
-    A binary search over ``poly.normal_angles`` finds the extreme vertex k
-    in O(log n), up to rounding in the angles.  The window k-2 .. k+2 then
+    ``extreme_index`` over ``poly.normal_angles`` finds the extreme vertex
+    k in O(log n), up to rounding in the angles.  The window k-2 .. k+2 then
     widens until no mask reaches its ends, so the largest projection is
     evaluated exactly; on a strictly convex polygon the masked run is
     contiguous and, for eps far below the edge lengths, a few vertices long.
     """
     ux = np.asarray(ux, dtype=float)[:, None]
     uy = np.asarray(uy, dtype=float)[:, None]
-    nrm = poly.normal_angles
-    n = len(nrm)
-    k = np.searchsorted(nrm, nrm[0] + np.mod(np.arctan2(uy, ux) - nrm[0], TWO_PI),
-                        side="right")
+    n = len(poly)
+    k = extreme_index(poly.normal_angles, np.arctan2(uy, ux))
     r = 2
     while True:
         cand = (k + np.arange(-r, r + 1)) % n
@@ -351,9 +350,8 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
     canonical orientation angle (mod pi/2).
     """
     v = poly.coords
-    e = np.roll(v, -1, axis=0) - v
-    u = e / np.hypot(e[:, 0], e[:, 1])[:, None]
-    ux, uy = u[:, 0], u[:, 1]
+    m, _ = poly.edge_normals_offsets()
+    ux, uy = m[:, 1], -m[:, 0]      # unit edge directions
     # extents along each edge (s) and its inward normal (t): four supports
     top = support_window(poly, np.concatenate([ux, -ux, -uy, uy]),
                          np.concatenate([uy, -uy, ux, -ux]))[2].max(axis=1).reshape(4, -1)
@@ -370,10 +368,10 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
                 best, best_ang, k = per, ang, i
     # corners from plain projections: far from the origin the oracle's sums
     # round differently, and corners off by that much can break opacity
-    nvec = np.array([-uy[k], ux[k]])
-    s, t = v @ u[k], v @ nvec
+    u, nvec = np.array([ux[k], uy[k]]), m[k]
+    s, t = v @ u, v @ nvec
     lo, hi = (float(s.min()), float(t.min())), (float(s.max()), float(t.max()))
-    corners = tuple(Point2(*(a * u[k] + b * nvec))
+    corners = tuple(Point2(*(a * u + b * nvec))
                     for a, b in (lo, (hi[0], lo[1]), hi, (lo[0], hi[1])))
     return OrientedRectangle(corners, hi[0] - lo[0], hi[1] - lo[1])
 

@@ -23,9 +23,15 @@ from .geometry import (
     TOL_ANG,
     TOL_LEN_REL,
     TOL_TOUCH_REL,
+    TWO_PI,
     cross2,
+    extreme_index,
 )
 from .steiner import steiner_three_points
+
+# touching-edge triples tried one by one; beyond this many, one spread
+# triple is picked (see _spanning_triples)
+TRIPLE_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,11 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     # a pair tilted by at most TOL_TOUCH_REL from antiparallel moves apart
     # by at most tol_touch across the polygon, the slack that let both
     # edges count as touching, so it is antipodal at that resolution
-    for i, j in _antipodal_candidates(m, touch):
+    for i, j in _antipodal_candidates(poly.normal_angles, touch):
         if m[i] @ m[j] < 0.0 and abs(cross2(m[i], m[j])) <= TOL_TOUCH_REL:
             return None
 
-    triples = _spanning_triples(m, touch)
+    triples = _spanning_triples(poly.normal_angles, touch)
     if not triples:
         raise InconsistentIncircle(
             "no antipodal touching pair and no positively spanning triple")
@@ -192,51 +198,38 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     return TangentTriangle(*corners, sides)
 
 
-def _antipodal_candidates(m: np.ndarray, touch: list[int]) -> set[tuple[int, int]]:
+def _antipodal_candidates(nrm: np.ndarray, touch: list[int]) -> set[tuple[int, int]]:
     """Touching-edge pairs (i < j) that can be antipodal: each normal with
-    the two on either side of its antipode in angular order."""
+    the two on either side of its antipode.  ``nrm`` is the polygon's
+    ``normal_angles``, so the touching edges, in index order, are in
+    angular order."""
     idx = np.array(touch)
-    a = np.arctan2(m[idx, 1], m[idx, 0])
-    order = np.argsort(a)
-    a, idx = a[order], idx[order]
-    ext = np.concatenate([a - 2.0 * math.pi, a, a + 2.0 * math.pi])
-    j = (np.searchsorted(ext, a + math.pi)[:, None] + np.arange(-2, 2)) % len(idx)
+    a = nrm[idx]
+    j = (extreme_index(a, a + math.pi)[:, None] + np.arange(-2, 2)) % len(idx)
     return {(min(p, q), max(p, q))
-            for p, row in zip(idx.tolist(), idx[j].tolist()) for q in row if p != q}
+            for p, row in zip(touch, idx[j].tolist()) for q in row if p != q}
 
 
-def _spanning_triples(m: np.ndarray, touch: list[int], cap: int = 5000):
-    """Touching-edge triples whose inward normals positively span the plane."""
-    angles = {i: math.atan2(m[i, 1], m[i, 0]) for i in touch}
+def _spanning_triples(nrm: np.ndarray, touch: list[int]):
+    """Touching-edge triples whose normals positively span the plane;
+    ``nrm`` is the polygon's ``normal_angles``."""
+    ang = nrm.tolist()
     combos = itertools.combinations(touch, 3)
-    if math.comb(len(touch), 3) > cap:
+    if math.comb(len(touch), 3) > TRIPLE_CAP:
         # many co-circular touching edges (near-regular polygon): pick the
         # triple with normals closest to equally spaced; any valid triple is
         # correct, this one just keeps the corner triangle small
-        base = touch[0]
-        a0 = angles[base]
-        picks = [base]
+        picks = [touch[0]]
         for off in (2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
-            target = a0 + off
+            target = ang[touch[0]] + off
             picks.append(min((i for i in touch if i not in picks),
-                             key=lambda i: abs(_angdiff(angles[i], target))))
+                             key=lambda i: abs(math.remainder(ang[i] - target, TWO_PI))))
         combos = [tuple(sorted(picks))]
     out = []
-    for triple in combos:
-        a = sorted(angles[i] for i in triple)
-        gaps = [a[1] - a[0], a[2] - a[1], 2.0 * math.pi - (a[2] - a[0])]
-        if max(gaps) < math.pi - TOL_ANG:
-            out.append(triple)
+    for i, j, k in combos:
+        if max(ang[j] - ang[i], ang[k] - ang[j], TWO_PI - (ang[k] - ang[i])) < math.pi - TOL_ANG:
+            out.append((i, j, k))
     return out
-
-
-def _angdiff(a: float, b: float) -> float:
-    d = math.fmod(a - b, 2.0 * math.pi)
-    if d > math.pi:
-        d -= 2.0 * math.pi
-    if d < -math.pi:
-        d += 2.0 * math.pi
-    return d
 
 
 def _corner_points(m: np.ndarray, o: np.ndarray, triple) -> tuple[Point2, ...] | None:

@@ -14,8 +14,10 @@ Hull certificate.  A line misses a connected set iff it misses the set's
 convex hull, so a one-component barrier B is opaque iff the polygon lies
 in hull(B).  ``is_opaque`` first builds hull(B) and returns opaque with
 no direction tested when every polygon vertex is within tol_cover of it
-in Euclidean distance.  The test is a merged sweep over the edge normals
-of both convex polygons, in O(n + h) time and memory.
+in Euclidean distance.  The test merges the edge-normal angles of both
+convex polygons and finds each arc's two supporting vertices with the
+kernel's ``extreme_index``, in O((n + h) log(n + h)) time and O(n + h)
+memory.
 
 Direction scan.  Otherwise (several components, a hull with no interior,
 or a vertex outside the band), coverage is combinatorially constant
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import Barrier, components
-from .geometry import ConvexPolygon, Interval, TOL_ANG, TOL_LEN_REL, unit_normal
+from .geometry import (ConvexPolygon, Interval, TOL_ANG, TOL_LEN_REL, TWO_PI, extreme_index,
+                       normal_angles, unit_normal)
 
 TOL_COVER_REL = 1e-9
 ROUNDING_COVER = 8.0   # eps * (max |coord| + diameter) units; see tol_cover
@@ -198,16 +201,6 @@ def _strict_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(chain(ordered) + chain(reversed(ordered)), dtype=float).reshape(-1, 2)
 
 
-def _normals(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward edge-normal angles of a counterclockwise convex polygon in
-    [0, 2*pi), sorted, and the edge (= start vertex) of each: a direction
-    just below a normal's angle has that edge's start vertex extreme."""
-    e = np.roll(verts, -1, axis=0) - verts
-    ang = np.mod(np.arctan2(-e[:, 0], e[:, 1]), 2.0 * math.pi)
-    order = np.argsort(ang)
-    return ang[order], order
-
-
 def _hull_slack(poly: ConvexPolygon, pts: np.ndarray, tol: float) -> float | None:
     """Smallest depth of a polygon vertex inside the convex hull of
     ``pts`` (minus the distance of a vertex outside it) when every vertex
@@ -226,18 +219,18 @@ def _hull_slack(poly: ConvexPolygon, pts: np.ndarray, tol: float) -> float | Non
     hull = _strict_hull(pts)
     if len(hull) < 3:
         return None
-    (pa, pv), (ha, hv) = _normals(poly.coords), _normals(hull)
-    start = np.sort(np.concatenate([pa, ha]))                       # arc starts
-    stop = np.append(start[1:], start[0] + 2.0 * math.pi)
-    mid = np.mod((start + stop) / 2.0, 2.0 * math.pi)
-    d = (poly.coords[pv[np.searchsorted(pa, mid) % len(pa)]]
-         - hull[hv[np.searchsorted(ha, mid) % len(ha)]])
+    pa, ha = poly.normal_angles, normal_angles(np.roll(hull, -1, axis=0) - hull)
+    start = np.sort(np.mod(np.concatenate([pa, ha]), TWO_PI))      # arc starts
+    stop = np.append(start[1:], start[0] + TWO_PI)
+    mid = (start + stop) / 2.0
+    d = (poly.coords[extreme_index(pa, mid) % len(pa)]
+         - hull[extreme_index(ha, mid) % len(ha)])
     # g at every arc start, hull edge normals among them: a vertex more
     # than tol outside a hull edge line rejects before the corner peaks
     worst = float((d[:, 0] * np.cos(start) + d[:, 1] * np.sin(start)).max())
     if worst > tol:
         return None
-    inside = np.mod(np.arctan2(d[:, 1], d[:, 0]) - start, 2.0 * math.pi) < stop - start
+    inside = np.mod(np.arctan2(d[:, 1], d[:, 0]) - start, TWO_PI) < stop - start
     if inside.any():
         worst = max(worst, float(np.hypot(d[inside, 0], d[inside, 1]).max()))
     return None if worst > tol else 0.0 - worst       # 0.0 - worst: never -0.0

@@ -341,8 +341,8 @@ class TestScaleInvariance:
         a = 2.0 * math.pi * np.arange(n) / n
         return np.column_stack([r * np.cos(a), r * np.sin(a)])
 
-    @pytest.mark.parametrize("method", [algo_a3, interior_single_arc],
-                             ids=["a3", "interior-arc"])
+    @pytest.mark.parametrize("method", [algo_a1, algo_a3, algo_a4, interior_single_arc],
+                             ids=["a1", "a3", "a4", "interior-arc"])
     def test_length_scales(self, method):
         for n in range(5, 16):
             pts = self.perturbed_ngon(n)

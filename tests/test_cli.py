@@ -64,11 +64,13 @@ class TestCompute:
 
     def test_invalid_polygon(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0]]}))
-        code, _, err = run(capsys, "compute", "--method", "a1",
-                           "--input", str(bad))
-        assert code == 2
-        assert "invalid polygon" in err
+        # collinear vertices, and a document that is not an object
+        for doc in ({"vertices": [[0, 0], [1, 0], [2, 0]]}, [1, 2]):
+            bad.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "compute", "--method", "a1",
+                               "--input", str(bad))
+            assert code == 2
+            assert err.startswith("invalid polygon") and err.count("\n") == 1
 
     def test_clockwise_rejected_then_auto_orient(self, capsys, tmp_path):
         cw = tmp_path / "cw.json"
@@ -150,12 +152,20 @@ class TestVerify:
         assert "<line" in svg.read_text()
 
     def test_malformed_exit_2(self, capsys, square_file, tmp_path):
-        bfile = tmp_path / "empty.json"
-        bfile.write_text(json.dumps({"polylines": [], "kind": "arbitrary"}))
-        code, _, err = run(capsys, "verify", "--polygon", square_file,
-                           "--barrier", str(bfile))
+        bfile = tmp_path / "bad.json"
+        # no polylines, polylines that are not a list, and a polygon
+        # document that is not an object
+        for polygon, barrier in ((square_file, {"polylines": [], "kind": "arbitrary"}),
+                                 (square_file, {"polylines": 5}),
+                                 (str(bfile), [1, 2])):
+            bfile.write_text(json.dumps(barrier))
+            code, _, err = run(capsys, "verify", "--polygon", polygon,
+                               "--barrier", str(bfile))
+            assert code == 2
+            assert err.startswith("malformed") and err.count("\n") == 1
+        code, _, err = run(capsys, "fixture", "--name", "regular-ngon", "--param", "n=1e3")
         assert code == 2
-        assert "malformed" in err
+        assert err.startswith("bad parameter") and err.count("\n") == 1
 
     def test_roundtrip_bit_for_bit(self, capsys, tmp_path):
         # write, read, write again: identical bytes

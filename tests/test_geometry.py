@@ -91,6 +91,16 @@ class TestBasics:
             assert poly.diameter == pytest.approx(
                 float(pdist(poly.coords).max()), rel=1e-12)
 
+    def test_edge_frame_is_read_only(self, square):
+        # one frame per polygon, shared by every caller
+        m, o = square.edge_normals_offsets()
+        for arr in (m, o, square.normal_angles, square.edge_lengths,
+                    square.cumulative_lengths, square.coords):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert square.edge_normals_offsets()[0][0].tolist() == [0.0, 1.0]
+        assert square.edge_lengths.tolist() == [1.0, 1.0, 1.0, 1.0]
+
     def test_polyline_length(self):
         assert polyline_length([(0, 0), (1, 0), (1, 1)]) == pytest.approx(2.0)
 

@@ -198,5 +198,5 @@ def test_antipodal_candidates_match_all_pairs(ratio_polys):
     for poly in polys:
         m, _ = poly.edge_normals_offsets()
         touch = list(range(len(poly)))
-        assert (_antipodal(m, _antipodal_candidates(m, touch))
+        assert (_antipodal(m, _antipodal_candidates(poly.normal_angles, touch))
                 == _antipodal(m, itertools.combinations(touch, 2)))

@@ -21,6 +21,7 @@ from opaque import (
     interior_connected,
     interior_single_arc,
     is_opaque,
+    make_fixture,
     random_convex_polygon,
     validate_polygon,
 )
@@ -69,6 +70,23 @@ def test_hull_certificate_matches_scan(seed, n):
             assert report.certificate == ("hull" if want else "directions")
             assert report.directions_tested == (0 if want else scanned.directions_tested)
             assert report.witness == scanned.witness
+
+
+@pytest.mark.parametrize("name", ["a1", "a3", "interior-arc"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("m", [20, 46, 68, 80])
+def test_hull_certificate_on_rotated_reuleaux(m, k, name):
+    # on rotated Reuleaux polygons the hulls of these barriers keep nearly
+    # collinear vertices, whose two edges can round to the same normal
+    # angle; each arc must still get its own supporting vertices
+    c, s = math.cos(0.37 * k), math.sin(0.37 * k)
+    base = make_fixture("reuleaux-poly", m=m).polygon.coords.tolist()
+    poly = validate_polygon([(c * x - s * y, s * x + c * y) for x, y in base])
+    barrier = BUILDERS[name](poly).barrier
+    scanned = _scan(poly, barrier, *_component_points(barrier))
+    report = is_opaque(poly, barrier)
+    assert scanned.opaque
+    assert (report.opaque, report.certificate, report.directions_tested) == (True, "hull", 0)
 
 
 @PROPERTY
