@@ -45,6 +45,6 @@ from .verify import (
     projections_cover,
     sampling_oracle,
 )
-from .fixtures import Fixture, UnknownFixture, make_fixture, random_convex_polygon
+from .fixtures import BadFixtureParameter, Fixture, UnknownFixture, make_fixture, random_convex_polygon
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .barriers import (
     interior_connected,
     interior_single_arc,
 )
-from .fixtures import UnknownFixture, make_fixture, random_convex_polygon
+from .fixtures import BadFixtureParameter, UnknownFixture, make_fixture, random_convex_polygon
 from .geometry import ConvexPolygon, Point2, PolygonError, signed_area2, validate_polygon
 from .verify import is_opaque
 
@@ -274,6 +274,9 @@ def cmd_fixture(args) -> int:
     except UnknownFixture:
         print(f"unknown fixture: {args.name!r}", file=sys.stderr)
         return 3
+    except BadFixtureParameter as exc:
+        print(f"bad parameter: {exc}", file=sys.stderr)
+        return 2
     if args.emit == "polygon":
         print(_json_value(polygon_document(fix.polygon)))
     else:

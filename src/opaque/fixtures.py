@@ -20,6 +20,16 @@ class UnknownFixture(KeyError):
     pass
 
 
+class BadFixtureParameter(ValueError):
+    """A parameter the named fixture does not take, or a vertex count
+    (n, m) that is not a positive integer."""
+
+
+# the parameters each fixture takes; n and m are vertex counts
+PARAMS = {"unit-square": (), "equilateral": (), "regular-ngon": ("n", "r"),
+          "pentagon-fig6": (), "reuleaux-poly": ("m", "shave"), "rectangle": ("a", "b")}
+
+
 @dataclass(frozen=True)
 class Fixture:
     name: str
@@ -39,8 +49,20 @@ def make_fixture(name: str, **params) -> Fixture:
     reference barriers).
 
     Names: unit-square, equilateral, regular-ngon (n, r), pentagon-fig6,
-    reuleaux-poly (m, shave), rectangle (a, b).
+    reuleaux-poly (m, shave), rectangle (a, b).  Raises UnknownFixture for
+    another name and BadFixtureParameter for a parameter the fixture does
+    not take or a count that is not a positive integer.
     """
+    if name not in PARAMS:
+        raise UnknownFixture(name)
+    unknown = sorted(set(params) - set(PARAMS[name]))
+    if unknown:
+        takes = ", ".join(PARAMS[name]) or "none"
+        raise BadFixtureParameter(f"{name} takes no parameter {', '.join(unknown)} (takes: {takes})")
+    for key in {"n", "m"} & set(params):
+        value = params[key]
+        if not float(value).is_integer() or value < 1:
+            raise BadFixtureParameter(f"{key} must be a positive integer, got {value!r}")
     if name == "unit-square":
         return _unit_square()
     if name == "equilateral":
@@ -65,7 +87,6 @@ def make_fixture(name: str, **params) -> Fixture:
         b = float(params.get("b", 1.0))
         poly = validate_polygon([(0, 0), (a, 0), (a, b), (0, b)])
         return Fixture(f"rectangle-{a}x{b}", poly)
-    raise UnknownFixture(name)
 
 
 def _unit_square() -> Fixture:

@@ -11,20 +11,26 @@ sharing is always sound, and no proximity merge is made: two polylines
 a hair apart stay two components, so a line through the gap is found.
 
 Hull certificate.  A line misses a connected set iff it misses the set's
-convex hull, so a one-component barrier B is opaque iff the polygon lies
-in hull(B).  ``is_opaque`` first builds hull(B) and returns opaque with
-no direction tested when every polygon vertex is within tol_cover of it
-in Euclidean distance.  The test merges the edge-normal angles of both
-convex polygons and finds each arc's two supporting vertices with the
-kernel's ``extreme_index``, in O((n + h) log(n + h)) time and O(n + h)
-memory.
+convex hull, and a line separating two hulls sees a projection gap no
+wider than their distance.  So when the component hulls form one
+connected touch graph, two hulls touching when their Euclidean distance
+is at most tol_cover, no direction has a gap wider than tol_cover between
+components, and the barrier B is opaque iff the polygon lies in hull(B).
+``is_opaque`` first builds hull(B) and checks that every polygon vertex is
+within tol_cover of it in Euclidean distance; only then does it build one
+hull per component (a point and a segment are hulls too) and search the
+touch graph.  When both hold it returns opaque with no direction tested.
+Both tests merge the edge-normal angles of two convex polygons and find
+each arc's two supporting vertices with the kernel's ``extreme_index``
+(``_support_gap``), in O((h + k) log(h + k)) time and O(h + k) memory for
+h and k vertices; a pair of hulls never needs an h x k array.
 
-Direction scan.  Otherwise (several components, a hull with no interior,
-or a vertex outside the band), coverage is combinatorially constant
-between consecutive "critical" directions (lines through pairs of barrier
-vertices or polygon vertices), so testing all criticals plus every gap
-midpoint decides opaqueness exactly, and the widest uncovered gap is the
-witness.
+Direction scan.  Otherwise (hulls that do not touch, a hull with no
+interior, or a vertex outside the band), coverage is combinatorially
+constant between consecutive "critical" directions (lines through pairs
+of barrier vertices or polygon vertices), so testing all criticals plus
+every gap midpoint decides opaqueness exactly, and the widest uncovered
+gap is the witness.
 """
 
 from __future__ import annotations
@@ -54,12 +60,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """``certificate`` says what decided: "hull" (the polygon lies within
-    tol_cover of the hull of a one-component barrier; no direction is
-    tested) or "directions" (the critical-direction scan).  For a hull
-    certificate ``min_slack`` is the smallest depth of a polygon vertex
-    inside hull(B), minus its distance for a vertex outside, so it is
-    <= 0 when some vertex lies in the tolerance band; otherwise None."""
+    """``certificate`` says what decided: "hull" (the component hulls form
+    one connected touch graph and the polygon lies within tol_cover of
+    the barrier's hull; no direction is tested) or "directions" (the
+    critical-direction scan).  For a hull certificate ``min_slack`` is
+    the smallest depth of a polygon vertex inside hull(B), minus its
+    distance for a vertex outside, so it is <= 0 when some vertex lies in
+    the tolerance band; otherwise None."""
 
     opaque: bool
     witness: Witness | None
@@ -201,55 +208,103 @@ def _strict_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(chain(ordered) + chain(reversed(ordered)), dtype=float).reshape(-1, 2)
 
 
+def _hull_frame(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict hull of the distinct points ``pts`` (``_strict_hull``) and
+    its unwrapped outward edge-normal angles (``normal_angles``).  A
+    segment's two normals are set exactly pi apart, where unwrapping is
+    ambiguous; a point has the one angle 0, so it is extreme in every
+    direction."""
+    if len(pts) == 1:
+        return pts, np.zeros(1)
+    hull = _strict_hull(pts)
+    if len(hull) == 2:
+        (x0, y0), (x1, y1) = hull.tolist()
+        a = math.atan2(x0 - x1, y1 - y0)               # the normal of hull[1] - hull[0]
+        return hull, np.array([a, a + math.pi])
+    return hull, normal_angles(np.concatenate([hull[1:], hull[:1]]) - hull)
+
+
+def _support_gap(x: np.ndarray, nx: np.ndarray, y: np.ndarray, ny: np.ndarray,
+                 tol: float, turn: float = 0.0) -> float:
+    """Maximum over unit directions u of g(u) = (x(u + turn) - y(u)) . u,
+    where x(w) and y(w) are the vertices of the convex polygons ``x`` and
+    ``y`` (unwrapped normal angles ``nx``, ``ny``) extreme in direction w;
+    any value above tol once one is found.
+
+    With turn 0, g(u) = h_X(u) - h_Y(u) for the support functions h, and
+    its maximum is the largest distance of a vertex of X outside Y.  With
+    turn pi, g(u) = -h_X(-u) - h_Y(u) is the gap between the projections
+    of Y and X onto u, and its maximum is their Euclidean distance when
+    they are disjoint (<= 0 when they meet).  Between consecutive
+    breakpoints (the angles of ny and of nx - turn) both vertices stay
+    fixed and g = (p - q) . u, a sinusoid whose peak |p - q| lies at the
+    direction of p - q.  So the maximum is over the merged breakpoints and
+    the peaks inside their arcs, in O((h + k) log(h + k)) time and
+    O(h + k) memory for h and k vertices.
+    """
+    start = np.sort(np.mod(np.concatenate([nx - turn, ny]), TWO_PI))   # arc starts
+    stop = np.concatenate([start[1:], [start[0] + TWO_PI]])
+    mid = (start + stop) / 2.0
+    d = x[extreme_index(nx, mid + turn) % len(nx)] - y[extreme_index(ny, mid) % len(ny)]
+    # g at every arc start first: a value above tol there settles it
+    # before the peaks are looked at
+    worst = float((d[:, 0] * np.cos(start) + d[:, 1] * np.sin(start)).max())
+    if worst > tol:
+        return worst
+    inside = np.mod(np.arctan2(d[:, 1], d[:, 0]) - start, TWO_PI) < stop - start
+    if inside.any():
+        worst = max(worst, float(np.hypot(d[inside, 0], d[inside, 1]).max()))
+    return worst
+
+
 def _hull_slack(poly: ConvexPolygon, pts: np.ndarray, tol: float) -> float | None:
     """Smallest depth of a polygon vertex inside the convex hull of
     ``pts`` (minus the distance of a vertex outside it) when every vertex
     is within tol of the hull in Euclidean distance; None when one is
-    not, or when the hull has fewer than three vertices.
-
-    With h_P and h_H the support functions of the polygon and the hull,
-    the largest signed distance of a polygon vertex to the hull is the
-    maximum over unit directions u of g(u) = h_P(u) - h_H(u).  Between
-    consecutive edge normals of either polygon both supporting vertices
-    p and q stay fixed and g = (p - q).u, a sinusoid whose peak |p - q|
-    lies at the direction of p - q.  So the maximum is over the merged
-    normal angles and the peaks inside their arcs: Euclidean at corners,
-    where per-face offsets would give extra slack.
-    """
-    hull = _strict_hull(pts)
+    not, or when the hull has fewer than three vertices.  The distance is
+    Euclidean at corners (``_support_gap`` with turn 0), where per-face
+    offsets would give extra slack."""
+    hull, ha = _hull_frame(pts)
     if len(hull) < 3:
         return None
-    pa, ha = poly.normal_angles, normal_angles(np.roll(hull, -1, axis=0) - hull)
-    start = np.sort(np.mod(np.concatenate([pa, ha]), TWO_PI))      # arc starts
-    stop = np.append(start[1:], start[0] + TWO_PI)
-    mid = (start + stop) / 2.0
-    d = (poly.coords[extreme_index(pa, mid) % len(pa)]
-         - hull[extreme_index(ha, mid) % len(ha)])
-    # g at every arc start, hull edge normals among them: a vertex more
-    # than tol outside a hull edge line rejects before the corner peaks
-    worst = float((d[:, 0] * np.cos(start) + d[:, 1] * np.sin(start)).max())
-    if worst > tol:
-        return None
-    inside = np.mod(np.arctan2(d[:, 1], d[:, 0]) - start, TWO_PI) < stop - start
-    if inside.any():
-        worst = max(worst, float(np.hypot(d[inside, 0], d[inside, 1]).max()))
+    worst = _support_gap(poly.coords, poly.normal_angles, hull, ha, tol)
     return None if worst > tol else 0.0 - worst       # 0.0 - worst: never -0.0
+
+
+def _hulls_touch(pts: np.ndarray, ends: list[int], tol: float) -> bool:
+    """Do the components' hulls form one connected touch graph, two hulls
+    touching when their Euclidean distance is at most tol?  ``pts`` and
+    ``ends`` are the component rows of ``_component_points``.  A search
+    from the first component tests each reached hull against every
+    unreached one by ``_support_gap`` with turn pi, so no array pairs the
+    vertices of two hulls; it stops when no reached hull is left to test."""
+    if len(ends) == 1:
+        return True
+    frames = [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+    todo, stack = list(range(1, len(ends))), [0]
+    while stack and todo:
+        c = stack.pop()
+        near = [j for j in todo if _support_gap(*frames[j], *frames[c], tol, math.pi) <= tol]
+        stack += near
+        todo = [j for j in todo if j not in near]
+    return not todo
 
 
 def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     """Decide opaqueness exactly.
 
-    A one-component barrier whose hull holds the polygon, every vertex
-    within tol_cover in Euclidean distance, is opaque by the hull
-    certificate: no direction is tested, and ``min_slack`` reports the
-    smallest depth.  Every other barrier goes to the direction scan, and
-    every non-opaque verdict comes from it.
+    A barrier whose component hulls form one connected touch graph (two
+    hulls touch when they are within tol_cover of each other) and whose
+    hull holds the polygon, every vertex within tol_cover in Euclidean
+    distance, is opaque by the hull certificate: no direction is tested,
+    and ``min_slack`` reports the smallest depth.  Every other barrier
+    goes to the direction scan, and every non-opaque verdict comes from it.
     """
     pts, ends = _component_points(barrier)
-    if len(ends) == 1:
-        slack = _hull_slack(poly, pts, tol_cover(poly))
-        if slack is not None:
-            return VerificationReport(True, None, 0, "hull", slack)
+    tol = tol_cover(poly)
+    slack = _hull_slack(poly, pts, tol)
+    if slack is not None and _hulls_touch(pts, ends, tol):
+        return VerificationReport(True, None, 0, "hull", slack)
     return _scan(poly, barrier, pts, ends)
 
 

@@ -123,11 +123,12 @@ class TestVerify:
             assert "opaque: yes" in out
 
     def test_opaque_messages(self, capsys, square_file, tmp_path):
-        # one component holding the square: the hull certificate; two
-        # polylines overlapping on x = 1 without a shared vertex: the scan
+        # one component holding the square: the hull certificate; the
+        # square's boundary ring plus a far segment, whose hulls do not
+        # touch: the scan
         docs = {"hull certificate; min slack 0)": [[[0, 0], [1, 0], [1, 1], [0, 1]]],
-                "directions tested)": [[[0, 0], [1, 0], [1, 0.6]],
-                                       [[1, 0.4], [1, 1], [0, 1]]]}
+                "directions tested)": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]],
+                                       [[5, 5], [6, 5]]]}
         for message, polylines in docs.items():
             bfile = tmp_path / "b.json"
             bfile.write_text(json.dumps({"polylines": polylines, "kind": "arbitrary"}))
@@ -230,6 +231,16 @@ class TestFixtureCommand:
         code, _, err = run(capsys, "fixture", "--name", "moebius")
         assert code == 3
         assert "unknown fixture" in err
+
+    def test_unknown_parameter(self, capsys):
+        code, out, err = run(capsys, "fixture", "--name", "regular-ngon", "--param", "bogus=3")
+        assert code == 2 and out == ""
+        assert err.startswith("bad parameter") and "bogus" in err and err.count("\n") == 1
+
+    def test_non_integer_count(self, capsys):
+        code, out, err = run(capsys, "fixture", "--name", "reuleaux-poly", "--param", "m=1.5")
+        assert code == 2 and out == ""
+        assert err.startswith("bad parameter") and "m must be a positive integer" in err
 
 
 def test_import_loads_no_scipy():

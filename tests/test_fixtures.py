@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opaque import (
+    BadFixtureParameter,
     UnknownFixture,
     is_opaque,
     make_fixture,
@@ -68,6 +69,16 @@ class TestOtherFixtures:
     def test_unknown(self):
         with pytest.raises(UnknownFixture):
             make_fixture("dodecahedron")
+
+    def test_bad_parameters(self):
+        # names the fixture does not take, and counts that are not
+        # positive integers; an integral float count is a count
+        for name, params in (("regular-ngon", {"bogus": 3}), ("unit-square", {"n": 4}),
+                             ("reuleaux-poly", {"m": 1.5}), ("regular-ngon", {"n": 0})):
+            with pytest.raises(BadFixtureParameter):
+                make_fixture(name, **params)
+        assert issubclass(BadFixtureParameter, ValueError)
+        assert len(make_fixture("reuleaux-poly", m=3.0).polygon) == 9
 
 
 class TestReuleaux:

@@ -3,11 +3,12 @@
 The support oracle keeps every kernel scan at O(n) memory; an n x n
 projection matrix at n = 16384 alone takes 2.1 GB.  The verifier tests
 directions in fixed-size blocks, so its projection arrays stay bounded
-however many critical directions there are, and a one-component
-barrier whose hull holds the polygon needs no directions at all: the hull
-test is O(n + m).  The interior-arc DP keeps two float rows, so its
-memory is the 2n^2 bytes of its choice tables.  Peaks are measured with tracemalloc and never timed:
-tracing slows Python loops many fold, so times are taken untraced.
+however many critical directions there are, and a barrier whose
+component hulls touch and whose hull holds the polygon needs no
+directions at all: the hull test is O(n + m).  The interior-arc DP
+keeps two float rows, so its memory is the 2n^2 bytes of its choice
+tables.  Peaks are measured with tracemalloc and never timed: tracing
+slows Python loops many fold, so times are taken untraced.
 """
 
 import time
@@ -90,6 +91,17 @@ def test_verifier_interior_tree_1000():
 def test_verifier_large_polygon_peak_memory(shape):
     poly = LARGE[shape]()
     barrier = algo_a3(poly).barrier
+    report = is_opaque(poly, barrier)
+    assert report.opaque and report.certificate == "hull"
+    assert peak_bytes(lambda p: is_opaque(p, barrier), poly) < 64 * MB
+
+
+@pytest.mark.parametrize("shape", sorted(LARGE))
+def test_verifier_a4_large_polygon(shape):
+    # a4's two components touch, so its barrier takes the hull certificate
+    # too, where the direction scan would pair every two of its points
+    poly = LARGE[shape]()
+    barrier = algo_a4(poly).barrier
     report = is_opaque(poly, barrier)
     assert report.opaque and report.certificate == "hull"
     assert peak_bytes(lambda p: is_opaque(p, barrier), poly) < 64 * MB

@@ -1,10 +1,12 @@
 """Connected components and the hull certificate.
 
-A line misses a connected set iff it misses the set's convex hull, so the
-hull certificate must give the direction scan's verdict on every
-one-component barrier; and one component projects to a single interval,
-so scanning components must give the per-polyline scan's first gaps, bit
-for bit, when both read the same point projections.
+A line misses a connected set iff it misses the set's convex hull, and a
+line separating two hulls within tol_cover of each other sees a gap of at
+most tol_cover, so the hull certificate must give the direction scan's
+verdict on every barrier whose component hulls form one connected touch
+graph; and one component projects to a single interval, so scanning
+components must give the per-polyline scan's first gaps, bit for bit,
+when both read the same point projections.
 """
 
 import math
@@ -18,6 +20,7 @@ from opaque import (
     Point2,
     algo_a1,
     algo_a3,
+    algo_a4,
     interior_connected,
     interior_single_arc,
     is_opaque,
@@ -26,7 +29,7 @@ from opaque import (
     validate_polygon,
 )
 from opaque.barriers import _polylines_connected, components
-from opaque.verify import _component_points, _hull_slack, _scan, _sweep, tol_cover
+from opaque.verify import _component_points, _hull_slack, _hulls_touch, _scan, _sweep, tol_cover
 
 from conftest import truncated
 
@@ -70,6 +73,109 @@ def test_hull_certificate_matches_scan(seed, n):
             assert report.certificate == ("hull" if want else "directions")
             assert report.directions_tested == (0 if want else scanned.directions_tested)
             assert report.witness == scanned.witness
+
+
+def assert_scan_decides(poly, barrier):
+    """is_opaque gives the scan's verdict, and its witness bit for bit."""
+    pts, ends = _component_points(barrier)
+    scanned = _scan(poly, barrier, pts, ends)
+    report = is_opaque(poly, barrier)
+    assert report.opaque == scanned.opaque
+    assert report.witness == scanned.witness
+    if report.certificate == "directions":
+        assert report.directions_tested == scanned.directions_tested
+    return report, scanned
+
+
+@PROPERTY
+@given(**HULLS)
+def test_touching_certificate_matches_scan(seed, n):
+    # an a4 barrier is two components: the wrap-around and the altitude,
+    # whose foot lies on the chord closing the wrap-around
+    poly = hull(seed, n)
+    barrier = algo_a4(poly).barrier
+    report, _ = assert_scan_decides(poly, barrier)
+    assert len(_component_points(barrier)[1]) == 2
+    assert (report.opaque, report.certificate, report.directions_tested) == (True, "hull", 0)
+    pls = barrier.polylines
+    for case in [truncated(poly, barrier)] + [Barrier(pls[:k] + pls[k + 1:], "arbitrary")
+                                              for k in range(len(pls))]:
+        assert_scan_decides(poly, case)
+
+
+@PROPERTY
+@given(**HULLS, log_scale=st.floats(-6.0, 6.0), log_shift=st.floats(0.0, 9.0),
+       turn=st.floats(0.0, 2.0 * math.pi), psi=st.floats(0.0, 2.0 * math.pi),
+       start=st.integers(0, 2 ** 16))
+def test_a4_similarity(seed, n, log_scale, log_shift, turn, psi, start):
+    # a cyclic shift, a rotation, a scale of 1e-6..1e6 and a translation
+    # of up to 1e9 diameters: the length scales within the rounding of the
+    # coordinates, and the certificate fires on both copies
+    poly = hull(seed, n)
+    s = 10.0 ** log_scale
+    c, r = math.cos(turn), math.sin(turn)
+    pts = np.roll(poly.coords, -(start % len(poly)), axis=0) @ np.array([[c, r], [-r, c]]) * s
+    pts += 10.0 ** log_shift * s * poly.diameter * np.array([math.cos(psi), math.sin(psi)])
+    twin = validate_polygon(pts)
+    want, got = algo_a4(poly), algo_a4(twin)
+    mag = float(np.abs(pts).max()) / s + float(np.abs(poly.coords).max())
+    assert abs(got.length / s - want.length) <= 64 * np.finfo(float).eps * len(poly) * mag
+    for p, sol in ((poly, want), (twin, got)):
+        report = is_opaque(p, sol.barrier)
+        assert (report.opaque, report.certificate) == (True, "hull")
+        assert not is_opaque(p, truncated(p, sol.barrier)).opaque
+
+
+def split_bottom(gap):
+    """The square's left, bottom and right sides, the bottom cut at
+    x = 0.5 by a hole ``gap`` wide: two triangular hulls ``gap`` apart."""
+    return ((0, 1), (0, 0), (0.5, 0)), ((0.5 + gap, 0), (1, 0), (1, 1))
+
+
+def test_touching_within_tolerance_is_certified(square):
+    report, _ = assert_scan_decides(square, Barrier(split_bottom(0.5 * tol_cover(square)),
+                                                    "arbitrary"))
+    assert (report.opaque, report.certificate, report.directions_tested) == (True, "hull", 0)
+    assert report.min_slack == 0.0
+
+
+def test_gap_wider_than_tolerance_is_scanned(square):
+    gap = 2.0 * tol_cover(square)
+    report, _ = assert_scan_decides(square, Barrier(split_bottom(gap), "arbitrary"))
+    assert not report.opaque and report.certificate == "directions"
+    # the witness line crosses y = 0 inside the hole
+    w = report.witness
+    x = -w.representative_offset / math.sin(w.theta)
+    assert 0.5 < x < 0.5 + gap
+
+
+def test_one_point_component(square):
+    tol = tol_cover(square)
+    left, right = split_bottom(1.5 * tol)
+    # a point in the hole, within tol of both sides, joins the touch graph
+    bridge = Barrier((left, right, ((0.5 + 0.75 * tol, 0),) * 2), "arbitrary")
+    report, scanned = assert_scan_decides(square, bridge)
+    assert scanned.opaque and report.certificate == "hull"
+    # a point inside the hull of the three sides touches it; a far one
+    # does not, and the scan decides
+    sides = ((0, 1), (0, 0), (1, 0), (1, 1))
+    for point, certificate in (((0.5, 0.5), "hull"), ((5, 5), "directions")):
+        report, _ = assert_scan_decides(square, Barrier((sides, (point,) * 2), "arbitrary"))
+        assert report.opaque and report.certificate == certificate
+
+
+def test_collinear_segments(square):
+    tol = tol_cover(square)
+    # two parallel collinear segments: no hull interior, so the scan
+    # decides, and the touch test takes segment hulls without raising
+    report, _ = assert_scan_decides(square, Barrier((((0, 0), (0.4, 0)), ((0.6, 0), (1, 0))),
+                                                    "arbitrary"))
+    assert not report.opaque and report.certificate == "directions"
+    for pls, touch in (((((0, 0), (0.6, 0)), ((0.4, 0), (1, 0))), True),
+                       ((((0, 0), (0.5, 0)), ((0.5 + 2 * tol, 0), (1, 0))), False),
+                       ((((0, 0), (1, 0)), ((0, 0.5 * tol), (1, 0.5 * tol))), True),
+                       ((((0, 0), (1, 0)), ((0, 2 * tol), (1, 2 * tol))), False)):
+        assert _hulls_touch(*_component_points(Barrier(pls, "arbitrary")), tol) == touch
 
 
 @pytest.mark.parametrize("name", ["a1", "a3", "interior-arc"])
