@@ -67,12 +67,17 @@ class Barrier:
             raise ValueError("barrier length must be finite and positive")
         if self.kind == "single-arc" and len(clean) != 1:
             raise ValueError("single-arc barrier must be one polyline")
-        if self.kind == "connected" and not _polylines_connected(clean):
+        if self.kind == "connected" and not _polylines_connected(clean, self.components):
             raise ValueError("polylines of a connected barrier must touch")
 
     @functools.cached_property
     def length(self) -> float:
         return sum(polyline_length(pl) for pl in self.polylines)
+
+    @functools.cached_property
+    def components(self) -> list[list[int]]:
+        """``components`` of the polylines, grouped once per barrier."""
+        return components(self.polylines)
 
     def segments(self) -> list[tuple[Point2, Point2]]:
         out = []
@@ -124,11 +129,12 @@ def components(polylines) -> list[list[int]]:
     return list(groups.values())
 
 
-def _polylines_connected(polylines) -> bool:
+def _polylines_connected(polylines, groups) -> bool:
     """Do the polylines form one connected set?  Exactly shared vertices
-    connect (``components``); so do segments within TOL_GEOM_REL times the
-    points' extent of each other, crossings included."""
-    todo = components(polylines)
+    connect (``groups``, their ``components``); so do segments within
+    TOL_GEOM_REL times the points' extent of each other, crossings
+    included."""
+    todo = list(groups)
     if len(todo) == 1:
         return True
     pts = np.concatenate([np.asarray(pl, dtype=float) for pl in polylines])
@@ -367,26 +373,42 @@ def hamiltonian_path_tables(poly: ConvexPolygon):
     path from each start vertex.  Returns (lengths, choice_s, choice_t),
     where choice_s[L, i] (choice_t[L, i]) is set when the S (T) path
     steps to the far end of its run.
+
+    A row is eleven ufunc calls into buffers allocated before the loop:
+    S and T have length n + 1 with entry n repeating entry 0, so the row
+    shifted by one vertex is the slice [1:], and the new S row goes to a
+    second buffer because the new T row still reads the old one.
     """
-    v = poly.coords
-    n = len(v)
-    x2, y2 = np.concatenate([v, v]).T
+    n = len(poly.coords)
+    x2, y2 = np.concatenate([poly.coords, poly.coords]).T.copy()
+    x, y = x2[:n], y2[:n]
     dnext = poly.edge_lengths
     dnext2 = np.concatenate([dnext, dnext])
-    S = T = dnext
+    S = np.append(dnext, dnext[0])
+    T = S.copy()
+    S_new = np.empty(n + 1)
+    dspan = np.empty(n)
+    dy = np.empty(n)
+    opt = np.empty(n)
     cs = np.zeros((n, n), dtype=bool)
     ct = np.zeros_like(cs)
     for L in range(2, n):
-        dspan = np.hypot(x2[L:L + n] - v[:, 0], y2[L:L + n] - v[:, 1])
-        opt1 = dnext + np.roll(S, -1)
-        opt2 = dspan + np.roll(T, -1)
-        opt1t = dnext2[L - 1:L - 1 + n] + T
-        opt2t = dspan + S
-        S = np.minimum(opt1, opt2)
-        cs[L] = opt2 < opt1
-        T = np.minimum(opt1t, opt2t)
-        ct[L] = opt2t < opt1t
-    return S, cs, ct
+        np.subtract(x2[L:L + n], x, out=dspan)
+        np.subtract(y2[L:L + n], y, out=dy)
+        np.hypot(dspan, dy, out=dspan)
+        s, t = S_new[:n], T[:n]
+        np.add(dnext, S[1:], out=s)            # S steps to the next vertex
+        np.add(dspan, T[1:], out=opt)          # S jumps to the run's far end
+        np.less(opt, s, out=cs[L])
+        np.minimum(s, opt, out=s)
+        np.add(dspan, S[:n], out=opt)          # T jumps to the run's start
+        np.add(dnext2[L - 1:L - 1 + n], t, out=t)  # T steps to the previous vertex
+        np.less(opt, t, out=ct[L])
+        np.minimum(t, opt, out=t)
+        S_new[n] = S_new[0]
+        T[n] = T[0]
+        S, S_new = S_new, S
+    return S[:n], cs, ct
 
 
 def _reconstruct_path(choice_s, choice_t, i: int) -> list[int]:

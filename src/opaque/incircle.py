@@ -170,10 +170,13 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     touch = sorted(circ.touching_edges)
     # a pair tilted by at most TOL_TOUCH_REL from antiparallel moves apart
     # by at most tol_touch across the polygon, the slack that let both
-    # edges count as touching, so it is antipodal at that resolution
-    for i, j in _antipodal_candidates(poly.normal_angles, touch):
-        if m[i] @ m[j] < 0.0 and abs(cross2(m[i], m[j])) <= TOL_TOUCH_REL:
-            return None
+    # edges count as touching, so it is antipodal at that resolution.  The
+    # dot's sign only matters where |cross| <= TOL_TOUCH_REL, so |dot| ~ 1
+    i, j = _antipodal_candidates(poly.normal_angles, touch)
+    mi, mj = m[i], m[j]
+    dot = mi[:, 0] * mj[:, 0] + mi[:, 1] * mj[:, 1]
+    if np.any((dot < 0.0) & (np.abs(cross2(mi, mj)) <= TOL_TOUCH_REL)):
+        return None
 
     triples = _spanning_triples(poly.normal_angles, touch)
     if not triples:
@@ -198,16 +201,20 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     return TangentTriangle(*corners, sides)
 
 
-def _antipodal_candidates(nrm: np.ndarray, touch: list[int]) -> set[tuple[int, int]]:
-    """Touching-edge pairs (i < j) that can be antipodal: each normal with
-    the two on either side of its antipode.  ``nrm`` is the polygon's
-    ``normal_angles``, so the touching edges, in index order, are in
-    angular order."""
+def _antipodal_candidates(nrm: np.ndarray, touch: list[int]
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Touching-edge pairs that can be antipodal, as two index arrays
+    (first edges, second edges): each normal with the two on either side
+    of its antipode, so a pair may come twice, in either order.  ``nrm`` is
+    the polygon's ``normal_angles``, so the touching edges, in index order,
+    are in angular order."""
     idx = np.array(touch)
     a = nrm[idx]
     j = (extreme_index(a, a + math.pi)[:, None] + np.arange(-2, 2)) % len(idx)
-    return {(min(p, q), max(p, q))
-            for p, row in zip(touch, idx[j].tolist()) for q in row if p != q}
+    first = np.repeat(idx, j.shape[1])
+    second = idx[j].ravel()
+    keep = first != second
+    return first[keep], second[keep]
 
 
 def _spanning_triples(nrm: np.ndarray, touch: list[int]):

@@ -13,6 +13,11 @@ import numpy as np
 from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, TOL_LEN_REL, Point2, cross2
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+# the heuristic's wide-angle screen fires at angles of at least 2*pi/3 plus
+# this margin, far more than the few ulps by which its float cosine and the
+# one `_wide_vertex` computes can differ, so `_fermat` always agrees with it
+_WIDE_MARGIN = 1e-6
+_COS_WIDE = math.cos(_TWO_THIRDS_PI + _WIDE_MARGIN)
 
 
 def _pt(p) -> Point2:
@@ -234,7 +239,39 @@ def _drop_degenerate(nodes, edges, diam):
     return out
 
 
+def _wide_at_first(u, v, w) -> bool:
+    """Is the angle at u between v - u and w - u at least
+    2*pi/3 + _WIDE_MARGIN, by a float test on the cosine?"""
+    ax, ay = v[0] - u[0], v[1] - u[1]
+    bx, by = w[0] - u[0], w[1] - u[1]
+    return ax * bx + ay * by <= _COS_WIDE * math.hypot(ax, ay) * math.hypot(bx, by)
+
+
 def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
+    """MST improved by greedy Fermat-star merging.
+
+    Each round takes the star (u; v, w) of two tree edges at u whose Fermat
+    point shortens the tree most, and joins u, v and w to that point (or to
+    one of them within TOL_GEOM_REL * diam of it).  The gain of a star is
+    computed once per call: nodes never move once appended.
+
+    Stars wide at u, screened by ``_wide_at_first``, skip ``_fermat`` and
+    record gain 0.0 at u.  On vertices in convex position nearly every star
+    of two MST edges is wide, so this saves most ``_fermat`` calls, and it
+    is exactly what ``_fermat`` and the gain formula give:
+      * the screened angle is at least 2*pi/3 + _WIDE_MARGIN, and v - u and
+        w - u are correctly rounded, so ``_wide_vertex``, which tests index
+        0 first, returns 0;
+      * in the collinear branch argmax(d) picks index 0, because |vw| is
+        strictly the longest side: with |uv| >= |uw|,
+        |vw|^2 >= |uv|^2 + |uv| |uw|, so |vw| exceeds |uv| by about
+        |uw| / 2, far more than rounding while |uw| >= TOL_GEOM_REL * diam.
+        Tree edges are that long: validated polygon vertices are farther
+        apart, and a merge puts its center on u, v or w when it is that
+        close to one of them, so an appended center's edges are longer too;
+      * the new length is then 0 + |uv| + |uw|, bit for bit the current
+        one, so the gain is 0.0 and the star is never merged.
+    """
     nodes = list(pts)
     edges, _ = euclidean_mst(pts)
     arr = np.array(pts, dtype=float)
@@ -255,10 +292,13 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
                 for bi in range(ai + 1, len(nbrs)):
                     v, w = nbrs[ai], nbrs[bi]
                     if (u, v, w) not in merges:
-                        cur = math.dist(nodes[u], nodes[v]) + math.dist(nodes[u], nodes[w])
-                        center, _ = _fermat(nodes[u], nodes[v], nodes[w])
-                        new = sum(math.dist(center, nodes[k]) for k in (u, v, w))
-                        merges[u, v, w] = (cur - new, center)
+                        if _wide_at_first(nodes[u], nodes[v], nodes[w]):
+                            merges[u, v, w] = (0.0, nodes[u])
+                        else:
+                            cur = math.dist(nodes[u], nodes[v]) + math.dist(nodes[u], nodes[w])
+                            center, _ = _fermat(nodes[u], nodes[v], nodes[w])
+                            new = sum(math.dist(center, nodes[k]) for k in (u, v, w))
+                            merges[u, v, w] = (cur - new, center)
                     gain, center = merges[u, v, w]
                     if gain > TOL_LEN_REL * diam and (best is None or gain > best[0]):
                         best = (gain, u, v, w, center)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import Barrier, components
+from .barriers import Barrier
 from .geometry import (ConvexPolygon, Interval, TOL_ANG, TOL_LEN_REL, TWO_PI, extreme_index,
                        normal_angles, unit_normal)
 
@@ -94,7 +94,7 @@ def _component_points(barrier: Barrier) -> tuple[np.ndarray, list[int]]:
     """The barrier's distinct vertices grouped by connected component, and
     the index where each component's run of rows ends."""
     groups = [dict.fromkeys(p for i in group for p in barrier.polylines[i])
-              for group in components(barrier.polylines)]
+              for group in barrier.components]
     pts = np.array([p for group in groups for p in group], dtype=float)
     return pts, np.cumsum([len(group) for group in groups]).tolist()
 

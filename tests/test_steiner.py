@@ -3,13 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from opaque import interior_connected, random_convex_polygon, steiner, validate_polygon
-from opaque.steiner import _fermat, euclidean_mst, steiner_three_points, steiner_tree
+from opaque.geometry import TOL_GEOM_REL, Point2
+from opaque.steiner import (
+    _TWO_THIRDS_PI,
+    _fermat,
+    _wide_at_first,
+    euclidean_mst,
+    steiner_three_points,
+    steiner_tree,
+)
 
 from conftest import regular_ngon
 
@@ -96,6 +105,57 @@ class TestFermatPoint:
         f, on = _fermat((0, 0), (10, 0.1), (-10, 0.1))
         assert tuple(f) == pytest.approx((0.0, 0.0), abs=1e-12)
         assert on == 0
+
+
+def _star(ox, oy, log_scale, phi, angle, log_short, flip):
+    """u at (ox, oy), v at distance 10**log_scale from u in direction phi,
+    w at 10**log_short times that distance, turned by the angle at u."""
+    la = 10.0 ** log_scale
+    lb = la * 10.0 ** log_short
+    turn = phi + (-angle if flip else angle)
+    u = (ox, oy)
+    v = (ox + la * math.cos(phi), oy + la * math.sin(phi))
+    w = (ox + lb * math.cos(turn), oy + lb * math.sin(turn))
+    return u, v, w
+
+
+# the angle at u: within 1e-5 of 2*pi/3, near pi (collinear, u in the
+# middle) or anywhere; the short edge down to TOL_GEOM_REL times the long
+ANGLES = st.one_of(st.floats(-1e-5, 1e-5).map(lambda t: _TWO_THIRDS_PI + t),
+                   st.floats(0.0, 1e-6).map(lambda t: math.pi - t),
+                   st.floats(0.0, math.pi))
+STARS = dict(ox=st.floats(-1e9, 1e9), oy=st.floats(-1e9, 1e9),
+             log_scale=st.floats(-6.0, 6.0), phi=st.floats(0.0, 2.0 * math.pi),
+             angle=ANGLES, log_short=st.floats(math.log10(TOL_GEOM_REL), 0.0),
+             flip=st.booleans())
+
+
+class TestWideScreen:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(**STARS)
+    def test_screen_agrees_with_fermat(self, **star):
+        u, v, w = _star(**star)
+        a, b = math.dist(u, v), math.dist(u, w)
+        # tree edges are at least TOL_GEOM_REL * diam long (_steiner_heuristic)
+        assume(min(a, b) >= TOL_GEOM_REL * max(a, b, math.dist(v, w)))
+        for p, q in ((v, w), (w, v)):
+            if _wide_at_first(u, p, q):
+                center, on = _fermat(u, p, q)
+                assert (center, on) == (Point2(*u), 0)
+                cur = math.dist(u, p) + math.dist(u, q)
+                new = sum(math.dist(center, k) for k in (u, p, q))
+                assert cur - new == 0.0
+
+    def test_threshold(self):
+        def fires(angle, short=1.0):
+            return _wide_at_first(*_star(3.0, -2.0, 0.0, 0.7, angle, math.log10(short), False))
+
+        assert fires(_TWO_THIRDS_PI + 2e-6)
+        assert fires(math.pi)
+        assert fires(math.pi, TOL_GEOM_REL)
+        assert not fires(_TWO_THIRDS_PI)
+        assert not fires(_TWO_THIRDS_PI + 5e-7)
+        assert not fires(math.pi / 2)
 
 
 def ref_mst(points):

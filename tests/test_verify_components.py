@@ -228,8 +228,9 @@ def test_components_share_exact_vertices():
     near = ((a, b), (Point2(1 + 1e-12, 0), c))
     for pls in (cross, near):
         assert len(components(pls)) == 2
-        assert _polylines_connected(pls)
-    assert not _polylines_connected(((a, b), (Point2(1 + 1e-6, 0), c)))
+        assert _polylines_connected(pls, components(pls))
+    far = ((a, b), (Point2(1 + 1e-6, 0), c))
+    assert not _polylines_connected(far, components(far))
 
 
 def test_hull_certificate_is_euclidean_at_corners(square):
