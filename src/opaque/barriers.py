@@ -72,7 +72,17 @@ class Barrier:
 
     @functools.cached_property
     def length(self) -> float:
-        return sum(polyline_length(pl) for pl in self.polylines)
+        """Sum of ``polyline_length`` over the polylines, from one hypot
+        over all the points: each polyline sums its own slice, so numpy's
+        pairwise order, and every bit, stays that of ``polyline_length``."""
+        d = np.diff(np.array([p for pl in self.polylines for p in pl]), axis=0)
+        h = np.hypot(d[:, 0], d[:, 1])
+        out, s = [], 0
+        for pl in self.polylines:
+            e = s + len(pl) - 1
+            out.append(float(h[s]) if e == s + 1 else float(h[s:e].sum()))
+            s = e + 1
+        return sum(out)
 
     @functools.cached_property
     def components(self) -> list[list[int]]:

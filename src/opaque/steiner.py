@@ -1,21 +1,36 @@
-"""Euclidean Steiner constructions: three-point Fermat stars, minimum
-spanning trees (Prim's algorithm in O(n^2) time and O(n) memory), an exact
-four-terminal solver (Melzak's construction), and a star-merging heuristic
-for larger terminal sets in convex position.
+"""Euclidean Steiner constructions: three-point Fermat stars on plain
+floats, minimum spanning trees (Prim's algorithm in O(n^2) time and O(n)
+memory), an exact four-terminal solver (Melzak's construction), and a
+star-merging heuristic for larger terminal sets in convex position that
+keeps its candidate merges in a heap of gains.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 
 import numpy as np
 
-from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, TOL_LEN_REL, Point2, cross2
+from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, TOL_LEN_REL, Point2
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+_WIDE_ANGLE = _TWO_THIRDS_PI - TOL_ANG
+# the angle test runs on floats, numpy's on arrays: its 2-vector dot fuses a
+# multiply-add and np.hypot rounds apart from math.hypot, so the two angles
+# differ by up to about 6e-16 rad.  Within this band of the threshold the
+# array angle (`_vertex_angle`) decides, so every call decides as it did.
+_ANGLE_BAND = 1e-13
+# the same holds for the sign of the outward-apex dot product: the float sum
+# and numpy's fused one lie within two roundings of the exact value, so
+# their signs agree unless the sum is within this many times
+# |s| + |t| of zero
+_DOT_BAND = 4.0 * sys.float_info.epsilon
+_HALF_SQRT3 = math.sqrt(3.0) / 2.0
 # the heuristic's wide-angle screen fires at angles of at least 2*pi/3 plus
 # this margin, far more than the few ulps by which its float cosine and the
-# one `_wide_vertex` computes can differ, so `_fermat` always agrees with it
+# one `_fermat` tests can differ, so `_fermat` always agrees with it
 _WIDE_MARGIN = 1e-6
 _COS_WIDE = math.cos(_TWO_THIRDS_PI + _WIDE_MARGIN)
 
@@ -41,59 +56,62 @@ def _fermat(a, b, c) -> tuple[Point2, int | None]:
     """Point minimizing total distance to three points, and the index of
     the point it sits on (the vertex with angle >= 2*pi/3, or the middle of
     collinear points), None when it is the Simpson-line intersection."""
-    p = np.array([a, b, c], dtype=float)
-    d = [math.dist(p[1], p[2]), math.dist(p[2], p[0]), math.dist(p[0], p[1])]
+    ax, ay = float(a[0]), float(a[1])
+    bx, by = float(b[0]), float(b[1])
+    cx, cy = float(c[0]), float(c[1])
+    abx, aby = bx - ax, by - ay
+    acx, acy = cx - ax, cy - ay
+    bcx, bcy = cx - bx, cy - by
+    pts = ((ax, ay), (bx, by), (cx, cy))
+    d = [math.hypot(bcx, bcy), math.hypot(acx, acy), math.hypot(abx, aby)]
     scale = max(d)
-    area2 = float(cross2(p[1] - p[0], p[2] - p[0]))
+    area2 = abx * acy - aby * acx
     if abs(area2) <= TOL_AREA_REL * scale * scale:
-        on = int(np.argmax(d))  # collinear: middle point is opposite longest span
-    else:
-        on = _wide_vertex(p)
-    if on is not None:
-        return _pt(p[on]), on
-    return _fermat_construction(p), None
+        on = d.index(scale)  # collinear: middle point is opposite longest span
+        return Point2(*pts[on]), on
+    # the angle at each vertex from the dot product of its two sides
+    for i, dot, norms in ((0, abx * acx + aby * acy, d[2] * d[1]),
+                          (1, -(bcx * abx + bcy * aby), d[0] * d[2]),
+                          (2, acx * bcx + acy * bcy, d[1] * d[0])):
+        angle = math.acos(max(-1.0, min(1.0, dot / norms)))
+        if abs(angle - _WIDE_ANGLE) <= _ANGLE_BAND:
+            angle = _vertex_angle(np.array(pts), i)
+        if angle >= _WIDE_ANGLE:
+            return Point2(*pts[i]), i
+    # intersection of the two Simpson lines (vertex to outward equilateral
+    # apex on the opposite side)
+    e0x, e0y = _outward_apex(pts[1], pts[2], pts[0])
+    e1x, e1y = _outward_apex(pts[2], pts[0], pts[1])
+    u0x, u0y = e0x - ax, e0y - ay
+    u1x, u1y = e1x - bx, e1y - by
+    t = (abx * u1y - aby * u1x) / (u0x * u1y - u0y * u1x)
+    return Point2(ax + t * u0x, ay + t * u0y), None
 
 
 def _vertex_angle(p: np.ndarray, i: int) -> float:
+    """The angle at p[i] as numpy computes it, the tie-breaker of
+    `_fermat`'s float test."""
     u = p[(i + 1) % 3] - p[i]
     v = p[(i + 2) % 3] - p[i]
     cosv = float(u @ v / (np.hypot(*u) * np.hypot(*v)))
     return math.acos(max(-1.0, min(1.0, cosv)))
 
 
-def _wide_vertex(p: np.ndarray) -> int | None:
-    """Index of a vertex with angle >= 2*pi/3, if any."""
-    for i in range(3):
-        if _vertex_angle(p, i) >= _TWO_THIRDS_PI - TOL_ANG:
-            return i
-    return None
-
-
-def _fermat_construction(p: np.ndarray) -> Point2:
-    """Intersection of the two Simpson lines (vertex to outward equilateral
-    apex on the opposite side)."""
-    lines = []
-    for i in range(2):
-        q, r = p[(i + 1) % 3], p[(i + 2) % 3]
-        apex = _outward_apex(q, r, p[i])
-        lines.append((p[i], apex - p[i]))
-    (p0, u0), (p1, u1) = lines
-    den = float(cross2(u0, u1))
-    t = float(cross2(p1 - p0, u1)) / den
-    return _pt(p0 + t * u0)
-
-
-def _outward_apex(q: np.ndarray, r: np.ndarray, opposite: np.ndarray) -> np.ndarray:
+def _outward_apex(q, r, opposite) -> tuple[float, float]:
     """Apex of the equilateral triangle on qr, on the side away from
     `opposite`."""
-    mid = (q + r) / 2.0
-    h = math.sqrt(3.0) / 2.0
-    e = r - q
-    n = np.array([-e[1], e[0]])
-    apex = mid + h * n
-    if float((apex - mid) @ (opposite - mid)) > 0.0:
-        apex = mid - h * n
-    return apex
+    mx, my = (q[0] + r[0]) / 2.0, (q[1] + r[1]) / 2.0
+    nx, ny = -(r[1] - q[1]), r[0] - q[0]
+    ax, ay = mx + _HALF_SQRT3 * nx, my + _HALF_SQRT3 * ny
+    hx, hy = ax - mx, ay - my
+    ox, oy = opposite[0] - mx, opposite[1] - my
+    s, t = hx * ox, hy * oy
+    dot = s + t
+    if abs(dot) <= _DOT_BAND * (abs(s) + abs(t)):
+        dot = float(np.array([hx, hy]) @ np.array([ox, oy]))
+    if dot > 0.0:
+        return mx - _HALF_SQRT3 * nx, my - _HALF_SQRT3 * ny
+    return ax, ay
 
 
 def euclidean_mst(points) -> tuple[list[tuple[int, int]], float]:
@@ -186,12 +204,11 @@ def _steiner_four(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool
     # its terminal pair and the other side's apex.  The length is measured on
     # the constructed nodes, so an invalid construction only loses to the
     # 3+1 candidates.
-    arr = np.array(pts, dtype=float)
     for pair1, pair2 in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        a, b = arr[list(pair1)]
-        c, d = arr[list(pair2)]
-        e1 = _outward_apex(a, b, (c + d) / 2.0)
-        e2 = _outward_apex(c, d, (a + b) / 2.0)
+        a, b = pts[pair1[0]], pts[pair1[1]]
+        c, d = pts[pair2[0]], pts[pair2[1]]
+        e1 = _outward_apex(a, b, ((c[0] + d[0]) / 2.0, (c[1] + d[1]) / 2.0))
+        e2 = _outward_apex(c, d, ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
         s1, _ = _fermat(a, b, e2)
         s2, _ = _fermat(c, d, e1)
         length = (math.dist(a, s1) + math.dist(b, s1) + math.dist(s1, s2)
@@ -253,17 +270,25 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
     Each round takes the star (u; v, w) of two tree edges at u whose Fermat
     point shortens the tree most, and joins u, v and w to that point (or to
     one of them within TOL_GEOM_REL * diam of it).  The gain of a star is
-    computed once per call: nodes never move once appended.
+    computed once per call: nodes never move once appended.  Stars wait in
+    a heap keyed (-gain, u, v, w), v < w, pushed when their second edge
+    appears and dropped when they reach the top with an edge gone, so
+    selection takes O((n + m) log n) for m merges instead of a scan of
+    every star each round.  Node ids follow the order nodes are added, so
+    the top is the star a scan of nodes and their sorted neighbours would
+    pick first among the largest gains.
 
     Stars wide at u, screened by ``_wide_at_first``, skip ``_fermat`` and
     record gain 0.0 at u.  On vertices in convex position nearly every star
     of two MST edges is wide, so this saves most ``_fermat`` calls, and it
     is exactly what ``_fermat`` and the gain formula give:
-      * the screened angle is at least 2*pi/3 + _WIDE_MARGIN, and v - u and
-        w - u are correctly rounded, so ``_wide_vertex``, which tests index
-        0 first, returns 0;
-      * in the collinear branch argmax(d) picks index 0, because |vw| is
-        strictly the longest side: with |uv| >= |uw|,
+      * the screened angle is at least 2*pi/3 + _WIDE_MARGIN.  ``_fermat``
+        tests index 0 first, by the same float cosine of the same correctly
+        rounded v - u and w - u, so its angle is a few ulps from the
+        screen's, far above the threshold plus _ANGLE_BAND, and it returns
+        0 without consulting ``_vertex_angle``;
+      * in the collinear branch the longest side's index is 0, because |vw|
+        is strictly the longest side: with |uv| >= |uw|,
         |vw|^2 >= |uv|^2 + |uv| |uw|, so |vw| exceeds |uv| by about
         |uw| / 2, far more than rounding while |uw| >= TOL_GEOM_REL * diam.
         Tree edges are that long: validated polygon vertices are farther
@@ -276,6 +301,7 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
     edges, _ = euclidean_mst(pts)
     arr = np.array(pts, dtype=float)
     diam = float(np.hypot(*(arr.max(axis=0) - arr.min(axis=0))))
+    min_gain = TOL_LEN_REL * diam
     adj: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
     for i, j in edges:
         adj[i].add(j)
@@ -284,27 +310,34 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
     # (gain, center) of merging star (u; v, w): nodes never move once
     # appended, so each triple is computed once per call
     merges: dict[tuple[int, int, int], tuple[float, Point2]] = {}
+    heap: list[tuple[float, int, int, int]] = []
+
+    def push(star):
+        if star not in merges:
+            pu, pv, pw = (nodes[k] for k in star)
+            if _wide_at_first(pu, pv, pw):
+                merges[star] = (0.0, pu)
+            else:
+                cur = math.dist(pu, pv) + math.dist(pu, pw)
+                center, _ = _fermat(pu, pv, pw)
+                new = sum(math.dist(center, q) for q in (pu, pv, pw))
+                merges[star] = (cur - new, center)
+        gain = merges[star][0]
+        if gain > min_gain:
+            heapq.heappush(heap, (-gain, *star))
+
+    for u in adj:
+        nbrs = sorted(adj[u])
+        for ai in range(len(nbrs)):
+            for bi in range(ai + 1, len(nbrs)):
+                push((u, nbrs[ai], nbrs[bi]))
     for _ in range(10 * len(pts)):
-        best = None
-        for u in list(adj):
-            nbrs = sorted(adj[u])
-            for ai in range(len(nbrs)):
-                for bi in range(ai + 1, len(nbrs)):
-                    v, w = nbrs[ai], nbrs[bi]
-                    if (u, v, w) not in merges:
-                        if _wide_at_first(nodes[u], nodes[v], nodes[w]):
-                            merges[u, v, w] = (0.0, nodes[u])
-                        else:
-                            cur = math.dist(nodes[u], nodes[v]) + math.dist(nodes[u], nodes[w])
-                            center, _ = _fermat(nodes[u], nodes[v], nodes[w])
-                            new = sum(math.dist(center, nodes[k]) for k in (u, v, w))
-                            merges[u, v, w] = (cur - new, center)
-                    gain, center = merges[u, v, w]
-                    if gain > TOL_LEN_REL * diam and (best is None or gain > best[0]):
-                        best = (gain, u, v, w, center)
-        if best is None:
+        while heap and not adj[heap[0][1]].issuperset(heap[0][2:]):
+            heapq.heappop(heap)
+        if not heap:
             break
-        _, u, v, w, center = best
+        _, u, v, w = heapq.heappop(heap)
+        center = merges[u, v, w][1]
         adj[u].discard(v)
         adj[v].discard(u)
         adj[u].discard(w)
@@ -322,6 +355,15 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
             if k != cid:
                 adj[cid].add(k)
                 adj[k].add(cid)
+        # every star holding an added edge; when the center snaps onto u, v
+        # or w, an edge removed above and added back counts as added
+        stars = set()
+        for k in (u, v, w):
+            if k != cid:
+                for a, b in ((cid, k), (k, cid)):
+                    stars.update((a, min(b, z), max(b, z)) for z in adj[a] if z != b)
+        for star in stars:
+            push(star)
 
     out_edges = sorted({(min(i, j), max(i, j)) for i in adj for j in adj[i]})
     length = sum(math.dist(nodes[i], nodes[j]) for i, j in out_edges)

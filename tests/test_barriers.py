@@ -23,6 +23,7 @@ from opaque import (
     validate_polygon,
 )
 from opaque.barriers import _u_lengths
+from opaque.geometry import polyline_length
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -62,6 +63,20 @@ class TestBarrierType:
         # crossing diagonals are connected even without a shared endpoint
         pls = ((Point2(0, 0), Point2(1, 1)), (Point2(0, 1), Point2(1, 0)))
         assert Barrier(pls, "connected").length == pytest.approx(2 * SQRT2)
+
+    def test_length_is_sum_of_polyline_lengths(self):
+        # polylines of 2 to 300 points (numpy sums 8 or more segments
+        # pairwise), at scales 1e-6..1e6 and offsets up to 1e9: the one-pass
+        # length must be the per-polyline sum bit for bit
+        rng = np.random.default_rng(448)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-6.0, 6.0)
+            shift = rng.uniform(-1e9, 1e9) if rng.random() < 0.3 else 0.0
+            sizes = rng.choice([2, 2, 2, 3, 8, 9, 17, 129, 300], size=int(rng.integers(1, 12)))
+            pls = tuple(tuple(map(tuple, rng.standard_normal((int(m), 2)) * scale + shift))
+                        for m in sizes)
+            barrier = Barrier(pls, "arbitrary")
+            assert barrier.length == sum(polyline_length(pl) for pl in barrier.polylines)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

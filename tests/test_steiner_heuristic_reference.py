@@ -1,10 +1,12 @@
 """The star-merging heuristic against its uncached formulation.
 
 The reference below recomputes every candidate merge (u; v, w) with
-`_fermat` in every round.  The heuristic keeps each triple's gain and
-junction for the rest of the call, which is exact because nodes never
-move once appended, so trees must be identical: the same nodes, edges,
-length and flag, compared with `==`.
+`_fermat` in every round and scans for the first largest gain.  The
+heuristic keeps each triple's gain and junction for the rest of the call,
+which is exact because nodes never move once appended, and takes the
+merge from a heap keyed (-gain, u, v, w), which picks the scan's star, so
+trees must be identical: the same nodes, edges, length and flag, compared
+with `==`.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from opaque import random_convex_polygon, steiner
-from opaque.geometry import TOL_GEOM_REL, TOL_LEN_REL
+from opaque.geometry import TOL_GEOM_REL, TOL_LEN_REL, Point2
 from opaque.steiner import _fermat, euclidean_mst, steiner_tree
 
 from conftest import regular_ngon
@@ -119,9 +121,66 @@ def test_regular_sets_match_reference():
         assert_same(pts)
 
 
+def heap_order_sets():
+    """Where ties and cascades decide the merge order: the regular pentagon
+    from each start vertex, the 6-vertex hull on which the merges cascade
+    to 53 nodes (drawn second from default_rng(3), after a 4-vertex one),
+    and regular 5- to 16-gons, where every MST edge ties; each also scaled
+    by 1e-6 and translated by 1e9."""
+    pent = regular_ngon(5).coords
+    rng = np.random.default_rng(3)
+    random_convex_polygon(4, rng)
+    base = [np.roll(pent, -s, axis=0) for s in range(5)]
+    base.append(random_convex_polygon(6, rng).coords)
+    base += [regular_ngon(n).coords for n in range(5, 17)]
+    return [pts * scale + shift for pts in base for scale, shift in ((1.0, 0.0), (1e-6, 1e9))]
+
+
+def test_heap_order_sets_match_reference():
+    for pts in heap_order_sets():
+        assert_same(pts)
+
+
 def test_fixture_vertices_match_reference(small_polys, ratio_polys):
     for poly in small_polys + ratio_polys:
         assert_same(poly.coords)
+
+
+def test_snapped_centers_match_reference(monkeypatch):
+    # A Fermat point never lands within TOL_GEOM_REL * diam of u, v or w with
+    # a gain above TOL_LEN_REL * diam, so merges whose center snaps onto one
+    # of them are made here: the tree starts as the path through the points
+    # in order, and the three-point routine returns, for a third of the
+    # triples (by hash), the point 2e-10 times the triple's longest side
+    # from a toward the Fermat point, and otherwise the shortest star among
+    # the Fermat point and such points next to b and c.  A snap onto u leaves the tree as it was, so both
+    # sides repeat that merge; a snap onto v swaps edge u-w for v-w.
+    real = _fermat
+
+    def snapping(a, b, c):
+        center, on = real(a, b, c)
+        diam = max(math.dist(a, b), math.dist(b, c), math.dist(c, a))
+
+        def near(q):
+            gap = math.dist(center, q)
+            t = 2e-10 * diam / gap if gap else 0.0
+            return Point2(q[0] + t * (center[0] - q[0]), q[1] + t * (center[1] - q[1]))
+
+        if on is None and hash((tuple(a), tuple(b), tuple(c))) % 3 == 0:
+            return near(a), None
+        best = min([center, near(b), near(c)],
+                   key=lambda p: sum(math.dist(p, q) for q in (a, b, c)))
+        return best, (on if best is center else None)
+
+    def path(points):
+        return [(i, i + 1) for i in range(len(points) - 1)], 0.0
+
+    for name, fake in (("_fermat", snapping), ("euclidean_mst", path)):
+        monkeypatch.setattr(steiner, name, fake)
+        monkeypatch.setitem(globals(), name, fake)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        assert_same(rng.random((int(rng.integers(5, 13)), 2)))
 
 
 @pytest.mark.parametrize("points", [
