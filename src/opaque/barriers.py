@@ -251,7 +251,7 @@ def _shortest_u_curve(poly: ConvexPolygon, thetas) -> UCurve:
     nrm = unit_normal(theta)
     t = poly.coords @ nrm
     t0 = t.min()  # one rounding for the baseline and both drops
-    pts = [poly.vertices[i] for i in (i1 - np.arange((i1 - i2) % len(poly) + 1)) % len(poly)]
+    pts = poly.points((i1 - np.arange((i1 - i2) % len(poly) + 1)) % len(poly))
     q1 = Point2(*(np.asarray(pts[0]) + (t0 - t[i1]) * nrm))
     q2 = Point2(*(np.asarray(pts[-1]) + (t0 - t[i2]) * nrm))
     poly_pts = _collapse([q1] + pts + [q2], poly.tol_geom)

@@ -5,6 +5,12 @@ operations here: polygon validation and each polygon's one edge frame,
 widths, rotating-calipers style enumerations through one extreme-vertex
 lookup (``extreme_index``), projections.
 
+Validation runs a fixed number of numpy calls: one read of the
+coordinates, one closed copy of them for the edges, turns and signed area,
+and the edge-normal angles, which also reject a boundary that winds more
+than once.  The diameter is one ``extreme_index`` lookup over those angles;
+the ``Point2`` tuple of vertices is built only when a caller reads it.
+
 Conventions:
   * polygons are counterclockwise vertex cycles, strictly convex;
   * undirected line directions live in [0, pi), oriented directions in
@@ -149,13 +155,22 @@ class ConvexPolygon:
     """
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
-        pairs = [(float(p[0]), float(p[1])) for p in vertices]
-        self._coords = _read_only(np.array(pairs, dtype=float))
-        edges = _check_polygon(self._coords)
-        self.vertices: tuple[Point2, ...] = tuple(map(Point2._make, pairs))
+        try:
+            arr = np.array(vertices, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise PolygonError(f"vertices must be (x, y) pairs of numbers: {exc}") from None
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise PolygonError(f"vertices must be (x, y) pairs, got an array of shape {arr.shape}")
+        closed, edges, lengths, nrm = _check_polygon(arr)
+        # rows n and n + 1 repeat vertices 0 and 1, so an edge's far vertex
+        # and its neighbours are read without wrapping indices
+        self._closed = _read_only(closed)
+        self._coords = closed[:len(arr)]
+        self._vertices: tuple[Point2, ...] | None = None
         # the edge frame, computed once and shared read-only: edge i runs
         # from vertex i to vertex i + 1
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
         self.edge_lengths = _read_only(lengths)
         self.perimeter = float(lengths.sum())
         # cum[i] = boundary length from vertex 0 to vertex i, counterclockwise
@@ -163,16 +178,16 @@ class ConvexPolygon:
             np.concatenate(([0.0], np.cumsum(lengths)[:-1])))
         # outward edge-normal angles, unwrapped to increase from edge 0's:
         # vertex k is extreme for the directions between entries k-1 and k
-        self.normal_angles = _read_only(normal_angles(edges))
+        self.normal_angles = _read_only(nrm)
         m = np.column_stack([-edges[:, 1], edges[:, 0]]) / lengths[:, None]
         self._inward = _read_only(m), _read_only(np.einsum("ij,ij->i", m, self._coords))
         self._diameter: float | None = None
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._coords)
 
     def __repr__(self) -> str:
-        return f"ConvexPolygon({len(self.vertices)} vertices)"
+        return f"ConvexPolygon({len(self)} vertices)"
 
     @property
     def coords(self) -> np.ndarray:
@@ -180,15 +195,33 @@ class ConvexPolygon:
         return self._coords
 
     @property
+    def vertices(self) -> tuple[Point2, ...]:
+        """The vertices as ``Point2`` tuples, built on first use."""
+        if self._vertices is None:
+            self._vertices = tuple(self.points(slice(None)))
+        return self._vertices
+
+    def points(self, idx) -> list[Point2]:
+        """The vertices at the indices ``idx``, as ``Point2``; a run of the
+        boundary costs its own length, not the whole ``vertices``."""
+        return list(map(Point2._make, self._coords[idx].tolist()))
+
+    @property
     def diameter(self) -> float:
-        """Largest vertex-to-vertex distance, over the antipodal pairs."""
+        """Largest vertex-to-vertex distance, over the antipodal pairs:
+        both ends of each edge against the vertex farthest from its line
+        and that vertex's two neighbours, so ties and rounding in the
+        angles cannot drop a pair."""
         if self._diameter is None:
-            # the vertices farthest from each edge line, with both endpoints
-            m, _ = self._inward
-            far = self._coords[support_window(self, m[:, 0], m[:, 1])[0]]
-            ends = self._coords[(np.arange(len(m))[:, None] + [0, 1]) % len(m)]
-            d = far[:, :, None, :] - ends[:, None, :, :]
-            self._diameter = float(np.hypot(d[..., 0], d[..., 1]).max())
+            nrm = self.normal_angles
+            n = len(nrm)
+            # extreme in the inward normal direction; 1..n, and the closed
+            # copy reads n + 1 as vertex 1
+            far = extreme_index(nrm, nrm + math.pi)[:, None] + (-1, 0, 1)
+            x, y = self._closed[:, 0], self._closed[:, 1]
+            fx, fy = x[far], y[far]
+            self._diameter = max(float(np.hypot(fx - x[i:i + n, None], fy - y[i:i + n, None]).max())
+                                 for i in (0, 1))
         return self._diameter
 
     @property
@@ -213,8 +246,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def normal_angles(edges: np.ndarray) -> np.ndarray:
     """Outward normal angles of the edge vectors of a counterclockwise
     convex polygon, unwrapped so they increase from edge 0's and span
-    less than 2*pi."""
-    return np.unwrap(np.arctan2(-edges[:, 0], edges[:, 1]))
+    less than 2*pi.  The float operations of ``np.unwrap`` (period 2*pi)
+    on their arctan2, without its generic set-up."""
+    a = np.arctan2(-edges[:, 0], edges[:, 1])
+    dd = np.diff(a)
+    ddmod = np.mod(dd + math.pi, TWO_PI) - math.pi
+    # a step of exactly pi keeps its sign
+    ddmod[(ddmod == -math.pi) & (dd > 0.0)] = math.pi
+    correct = ddmod - dd
+    correct[np.abs(dd) < math.pi] = 0.0
+    a[1:] += np.cumsum(correct)
+    return a
 
 
 def extreme_index(nrm: np.ndarray, theta) -> np.ndarray:
@@ -231,24 +273,34 @@ def signed_area2(pts) -> float:
     The shoelace sum is taken about vertex 0: on raw coordinates far from
     the origin its terms cancel catastrophically and the sign is noise.
     """
-    rel = np.asarray(pts, dtype=float)
-    rel = rel - rel[0]
-    return float(cross2(rel, np.roll(rel, -1, axis=0)).sum())
+    arr = np.asarray(pts, dtype=float)
+    return _shoelace(np.concatenate((arr, arr[:1])))
 
 
-def _check_polygon(arr: np.ndarray) -> np.ndarray:
-    """Raise the first validation failure; return the edge vectors."""
+def _shoelace(closed: np.ndarray) -> float:
+    """``signed_area2`` of a cycle whose last row repeats its first."""
+    rel = closed - closed[0]
+    return float(cross2(rel[:-1], rel[1:]).sum())
+
+
+def _check_polygon(arr: np.ndarray):
+    """Raise the first validation failure.  Return the vertices closed by
+    their first two (rows n and n + 1 repeat rows 0 and 1), the edge
+    vectors, their lengths and their ``normal_angles``."""
     n = len(arr)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
     if not np.all(np.isfinite(arr)):
         raise PolygonError("non-finite vertex coordinate")
-    span = float(np.hypot(*(arr.max(axis=0) - arr.min(axis=0))))
+    x, y = arr.T      # a column's extremes: far faster than axis-0 reductions
+    span = float(np.hypot(x.max() - x.min(), y.max() - y.min()))
     if span <= 0.0:
         raise DuplicateVertex("all vertices coincide")
     tol_dup = TOL_GEOM_REL * span
-    d = np.roll(arr, -1, axis=0) - arr
-    close = np.hypot(d[:, 0], d[:, 1]) <= tol_dup
+    closed = np.concatenate((arr, arr[:2]))
+    d = np.diff(closed, axis=0)          # row n repeats edge 0
+    lengths = np.hypot(d[:n, 0], d[:n, 1])
+    close = lengths <= tol_dup
     if np.any(close):
         i = int(np.nonzero(close)[0][0])
         raise DuplicateVertex(f"vertices {i} and {(i + 1) % n} coincide")
@@ -261,23 +313,31 @@ def _check_polygon(arr: np.ndarray) -> np.ndarray:
         k = int(np.nonzero(same)[0][0])
         i, j = sorted((int(order[k]), int(order[k + 1])))
         raise DuplicateVertex(f"vertices {i} and {j} coincide")
-    cross = cross2(d, np.roll(d, -1, axis=0))
+    cross = cross2(d[:-1], d[1:])
     tol_area = TOL_AREA_REL * span ** 2
-    if signed_area2(arr) < -tol_area:
+    if _shoelace(closed[:-1]) < -tol_area:
         raise WrongOrientation("vertices are clockwise (pass counterclockwise, "
                                "or use --auto-orient in the CLI)")
     if np.any(cross <= tol_area):
         i = int(np.argmin(cross))
         raise NotStrictlyConvex(
             f"collinear or reflex turn at vertex {(i + 1) % n}")
-    return d
+    # every turn is left, but a boundary such as a pentagram turns left
+    # through 4*pi
+    nrm = normal_angles(d[:n])
+    if nrm[-1] - nrm[0] >= TWO_PI:
+        raise NotStrictlyConvex("the boundary winds around more than once")
+    return closed, d[:n], lengths, nrm
 
 
 def validate_polygon(points: Sequence[tuple[float, float]]) -> ConvexPolygon:
-    """Validate a counterclockwise strictly convex vertex cycle.
+    """Validate a counterclockwise strictly convex vertex cycle, given as
+    (n, 2) coordinates: a sequence of pairs or an array.
 
-    Raises TooFewVertices, NotStrictlyConvex, WrongOrientation or
-    DuplicateVertex; input order is preserved.
+    Raises TooFewVertices, NotStrictlyConvex (also for a boundary that
+    winds around more than once), WrongOrientation or DuplicateVertex, and
+    PolygonError for non-finite coordinates or input of any other shape;
+    input order is preserved.
     """
     return ConvexPolygon(points)
 
@@ -334,9 +394,15 @@ def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
     wmin = float(widths.min())
     tol = TOL_LEN_REL * poly.diameter
     candidates = np.nonzero(widths <= wmin + tol)[0]
-    # alpha = direction of the inward normal, canonicalized
-    alpha_star, k = min((canon_line_angle(math.atan2(m[i, 1], m[i, 0])), int(i))
-                        for i in candidates)
+    # alpha = direction of the inward normal, canonicalized as by
+    # canon_line_angle; argmin takes the smallest index among equal angles
+    mc = m[candidates]
+    alphas = np.fmod(np.fromiter(map(math.atan2, mc[:, 1].tolist(), mc[:, 0].tolist()),
+                                 float, len(candidates)), math.pi)
+    alphas[alphas < 0.0] += math.pi
+    alphas[alphas >= math.pi - 1e-15] = 0.0
+    j = int(alphas.argmin())
+    alpha_star, k = float(alphas[j]), int(candidates[j])
     line_dir = canon_line_angle(alpha_star + math.pi / 2.0)
     nrm = unit_normal(line_dir)
     offs = poly.coords @ nrm

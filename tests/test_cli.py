@@ -72,6 +72,17 @@ class TestCompute:
             assert code == 2
             assert err.startswith("invalid polygon") and err.count("\n") == 1
 
+    def test_pentagram_rejected(self, capsys, tmp_path):
+        # every turn is left, but the boundary winds around twice; a1 on it
+        # once returned a ratio below the half-perimeter bound
+        bad = tmp_path / "star.json"
+        bad.write_text(json.dumps({"vertices": [
+            [math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)] for k in range(5)]}))
+        for method in ("a1", "a3"):
+            code, out, err = run(capsys, "compute", "--method", method, "--input", str(bad))
+            assert code == 2 and out == ""
+            assert err.startswith("invalid polygon") and "winds around more than once" in err
+
     def test_clockwise_rejected_then_auto_orient(self, capsys, tmp_path):
         cw = tmp_path / "cw.json"
         cw.write_text(json.dumps(

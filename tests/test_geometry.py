@@ -75,6 +75,47 @@ class TestValidation:
             far = validate_polygon(poly.coords + 1e9 * poly.diameter)
             assert len(far) == len(poly)
 
+    @pytest.mark.parametrize("turns", [(5, 2), (7, 2), (7, 3), (9, 4)])
+    def test_star_polygon_rejected(self, turns):
+        # every turn is left and the area is positive, but the boundary
+        # winds around `wind` times: its normal angles span 2*pi*wind
+        n, wind = turns
+        star = [(math.cos(2 * math.pi * wind * k / n), math.sin(2 * math.pi * wind * k / n))
+                for k in range(n)]
+        with pytest.raises(NotStrictlyConvex, match="winds around more than once"):
+            validate_polygon(star)
+
+    def test_normal_angles_span_less_than_two_pi(self):
+        # a last turn at the convexity tolerance still spans less than 2*pi
+        for poly in [regular_ngon(n) for n in (3, 4, 1000, 16384)] + [
+                validate_polygon([(0, 0), (1, 0), (1, 1), (-1, 1e-11)])]:
+            span = poly.normal_angles[-1] - poly.normal_angles[0]
+            assert 0.0 < span < 2 * math.pi
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],     # extra coordinates
+        [(0,), (1,), (2,)],                    # one coordinate
+        [(0, 0), (1, 0), (0,)],                # ragged
+        [0, 1, 2],                             # numbers, not points
+        [[]],
+        np.zeros((4, 2, 1)),
+        [("a", 0), (1, 0), (0, 1)],
+    ], ids=["3d", "1d", "ragged", "flat", "empty-point", "3-axis", "text"])
+    def test_input_not_pairs(self, points):
+        with pytest.raises(PolygonError, match=r"\(x, y\) pairs"):
+            validate_polygon(points)
+
+    def test_empty_input(self):
+        for points in ([], (), np.empty((0, 2))):
+            with pytest.raises(TooFewVertices, match="got 0"):
+                validate_polygon(points)
+
+    def test_input_array_not_shared(self):
+        arr = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        poly = validate_polygon(arr)
+        arr[0] = (5.0, 5.0)
+        assert poly.coords[0].tolist() == [0.0, 0.0]
+
     def test_input_order_preserved(self):
         pts = [(1, 0), (1, 1), (0, 1), (0, 0)]
         poly = validate_polygon(pts)

@@ -7,8 +7,10 @@ however many critical directions there are, and a barrier whose
 component hulls touch and whose hull holds the polygon needs no
 directions at all: the hull test is O(n + m).  The interior-arc DP
 keeps two float rows, so its memory is the 2n^2 bytes of its choice
-tables.  Peaks are measured with tracemalloc and never timed: tracing
-slows Python loops many fold, so times are taken untraced.
+tables.  Polygon set-up (validation, the diameter, the minimum width)
+keeps a few O(n) arrays: a closed copy of the vertices and one far vertex
+window of three per edge.  Peaks are measured with tracemalloc and never
+timed: tracing slows Python loops many fold, so times are taken untraced.
 """
 
 import time
@@ -26,7 +28,9 @@ from opaque import (
     interior_single_arc,
     is_opaque,
     make_fixture,
+    min_width,
     random_convex_polygon,
+    validate_polygon,
 )
 
 from conftest import regular_ngon
@@ -46,6 +50,18 @@ def peak_bytes(fn, poly):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", sorted(LARGE))
+def test_polygon_setup_peak_memory(shape):
+    # each step measured alone: about 2-3 MB each at 16384 vertices, where
+    # a window of five far vertices against both edge ends took 5.5 MB for
+    # the diameter alone
+    points = LARGE[shape]().coords.tolist()
+    assert peak_bytes(validate_polygon, points) < 4 * MB
+    poly = validate_polygon(points)
+    assert peak_bytes(lambda p: p.diameter, poly) < 4 * MB
+    assert peak_bytes(min_width, poly) < 4 * MB
 
 
 @pytest.mark.parametrize("method", [algo_a1, algo_a3, algo_a4], ids=["a1", "a3", "a4"])
