@@ -10,7 +10,6 @@ the width/3 inradius bound both need that accuracy).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +26,6 @@ from .geometry import (
     cross2,
     extreme_index,
 )
-from .steiner import steiner_three_points
-
-# touching-edge triples tried one by one; beyond this many, one spread
-# triple is picked (see _spanning_triples)
-TRIPLE_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -144,15 +138,11 @@ def _pair_center(m: np.ndarray, o: np.ndarray, c0: np.ndarray, r: float,
     d = np.array([-m[i, 1], m[i, 0]])
     along = m @ d
     base = m @ c0 - o - r
-    lo, hi = -math.inf, math.inf
-    for a, b in zip(along, base):
-        # feasibility along the mid-line: a*s + b >= 0
-        if abs(a) < 1e-14:
-            continue
-        if a > 0.0:
-            lo = max(lo, -b / a)
-        else:
-            hi = min(hi, -b / a)
+    # feasibility along the mid-line: along * s + base >= 0; edges nearly
+    # parallel to it bound nothing
+    up, down = along >= 1e-14, along <= -1e-14
+    lo = float((-base[up] / along[up]).max(initial=-math.inf))
+    hi = float((-base[down] / along[down]).min(initial=math.inf))
     if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
         return c0 + 0.5 * (lo + hi) * d
     return c0
@@ -163,8 +153,8 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
 
     Returns None when some touching pair is antipodal (the incircle spans
     the width between two parallel supporting lines, so no finite tangent
-    triangle exists).  When more than one edge triple qualifies, the triple
-    whose corner triangle has the shortest three-point Steiner tree wins.
+    triangle exists).  Otherwise the three edges are the ``_tangent_triple``
+    pick: normals that positively span the plane, with a small corner triangle.
     """
     m, o = poly.edge_normals_offsets()
     touch = sorted(circ.touching_edges)
@@ -178,27 +168,18 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     if np.any((dot < 0.0) & (np.abs(cross2(mi, mj)) <= TOL_TOUCH_REL)):
         return None
 
-    triples = _spanning_triples(poly.normal_angles, touch)
-    if not triples:
+    # the binding normals balance with positive weights, so without an
+    # antipodal pair three of them span (Caratheodory), unless inconsistent
+    pick = _tangent_triple(poly.normal_angles[touch].tolist())
+    if pick is None:
         raise InconsistentIncircle(
             "no antipodal touching pair and no positively spanning triple")
-
-    best = None
-    for triple in triples:
-        corners = _corner_points(m, o, triple)
-        if corners is None:
-            continue
-        _, length = steiner_three_points(*corners)
-        if best is None or length < best[0]:
-            best = (length, corners)
-    if best is None:
-        raise InconsistentIncircle("tangent-line intersections degenerate")
-    corners = best[1]
-    d = [math.dist(corners[0], corners[1]),
-         math.dist(corners[1], corners[2]),
-         math.dist(corners[2], corners[0])]
-    sides = tuple(sorted(d, reverse=True))
-    return TangentTriangle(*corners, sides)
+    i, j, k = (touch[p] for p in pick)
+    # every gap of a spanning triple exceeds 2 * TOL_ANG: no two lines are parallel
+    corners = tuple(Point2(*map(float, np.linalg.solve(m[[a, b]], o[[a, b]])))
+                    for a, b in ((i, j), (j, k), (k, i)))
+    sides = sorted(map(math.dist, corners, corners[1:] + corners[:1]), reverse=True)
+    return TangentTriangle(*corners, tuple(sides))
 
 
 def _antipodal_candidates(nrm: np.ndarray, touch: list[int]
@@ -217,36 +198,51 @@ def _antipodal_candidates(nrm: np.ndarray, touch: list[int]
     return first[keep], second[keep]
 
 
-def _spanning_triples(nrm: np.ndarray, touch: list[int]):
-    """Touching-edge triples whose normals positively span the plane;
-    ``nrm`` is the polygon's ``normal_angles``."""
-    ang = nrm.tolist()
-    combos = itertools.combinations(touch, 3)
-    if math.comb(len(touch), 3) > TRIPLE_CAP:
-        # many co-circular touching edges (near-regular polygon): pick the
-        # triple with normals closest to equally spaced; any valid triple is
-        # correct, this one just keeps the corner triangle small
-        picks = [touch[0]]
-        for off in (2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
-            target = ang[touch[0]] + off
-            picks.append(min((i for i in touch if i not in picks),
-                             key=lambda i: abs(math.remainder(ang[i] - target, TWO_PI))))
-        combos = [tuple(sorted(picks))]
-    out = []
-    for i, j, k in combos:
-        if max(ang[j] - ang[i], ang[k] - ang[j], TWO_PI - (ang[k] - ang[i])) < math.pi - TOL_ANG:
-            out.append((i, j, k))
-    return out
+def _tangent_triple(ang: list[float]) -> tuple[int, int, int] | None:
+    """Positions, ascending, of the tangent triangle's three angles in
+    ``ang`` (increasing, spanning less than 2*pi), or None when no three
+    positively span the plane: leave gaps ang[j] - ang[i], ang[k] - ang[j]
+    and 2*pi - (ang[k] - ang[i]) all below d = pi - TOL_ANG.  Each position
+    x anchors two candidates: x with the positions nearest ang[x] + 2*pi/3
+    and ang[x] + 4*pi/3, and the half-turn triple (x, far(x), far(far(x))),
+    far(y) being the last position less than d past y.  Of the spanning
+    ones, the smallest corner triangle wins, the first on ties: about a
+    circle of radius rho its perimeter is 2*rho * sum(tan(g / 2)).
 
+    If a triple (p, q, r), in turning order, spans, so does the half-turn
+    triple (p, j, k).  With off(y, z) the turn from y to z: off(p, q) <=
+    off(p, j) < d, and j comes before r, else the gap from r back to p
+    would exceed pi.  So off(j, r) <= off(q, r) < d, hence off(j, k) >=
+    off(j, r), and the gap from k back to p is at most that from r.
+    """
+    t, lim = len(ang), math.pi - TOL_ANG
 
-def _corner_points(m: np.ndarray, o: np.ndarray, triple) -> tuple[Point2, ...] | None:
-    corners = []
-    ids = list(triple)
-    for i, j in ((ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])):
-        a = np.array([m[i], m[j]])
-        det = float(np.linalg.det(a))
-        if abs(det) < 1e-14:
-            return None
-        p = np.linalg.solve(a, np.array([o[i], o[j]]))
-        corners.append(Point2(float(p[0]), float(p[1])))
-    return tuple(corners)
+    def off(x, y):  # turn from x to y, x < y < x + t, rounded as the gaps
+        return ang[y] - ang[x] if y < t else TWO_PI - (ang[x] - ang[y - t])
+
+    far, y = [], 0
+    for x in range(t):
+        y = max(y, x)
+        while y + 1 < x + t and off(x, y + 1) < lim:
+            y += 1
+        far.append(y % t)
+    best, pick = math.inf, None
+    ahead = [0, 0]  # first position at or past ang[x] + 2*pi/3, + 4*pi/3
+    for x in range(t):
+        spread = [x]
+        for s, turn in enumerate((2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)):
+            p = max(ahead[s], x + 1)
+            while p < x + t and off(x, p) < turn:
+                p += 1
+            ahead[s] = p
+            if p == x + t or (p > x + 1 and turn - off(x, p - 1) <= off(x, p) - turn):
+                p -= 1
+            spread.append(p % t)
+        for cand in (spread, (x, far[x], far[far[x]])):
+            i, j, k = sorted(cand)
+            gaps = (ang[j] - ang[i], ang[k] - ang[j], TWO_PI - (ang[k] - ang[i]))
+            if max(gaps) < lim:
+                size = math.tan(0.5 * gaps[0]) + math.tan(0.5 * gaps[1]) + math.tan(0.5 * gaps[2])
+                if size < best:
+                    best, pick = size, (i, j, k)
+    return pick

@@ -13,6 +13,7 @@ from opaque import (
     PolygonError,
     algo_a2,
     barriers,
+    is_opaque,
     largest_inscribed_circle,
     make_fixture,
     min_width,
@@ -20,8 +21,8 @@ from opaque import (
     tangent_triangle,
     validate_polygon,
 )
-from opaque.geometry import TOL_TOUCH_REL
-from opaque.incircle import _pair_center
+from opaque.geometry import TOL_ANG, TOL_TOUCH_REL, TWO_PI
+from opaque.incircle import _pair_center, _tangent_triple
 
 from conftest import regular_ngon
 
@@ -334,3 +335,76 @@ def test_incircle_similarity(seed, n, log_scale, log_shift, angle, psi, roll):
     got = largest_inscribed_circle(copy)
     assert abs(got.radius / s - circ.radius) <= 1e-9 * diam
     assert got.touching_edges == frozenset((i - k) % n for i in circ.touching_edges)
+
+
+def fan_polygon(step, shift=0, phi=0.0):
+    """The polygon cut out by the lines x . (cos th, sin th) <= d: a fan at
+    th = 0, step, 2 step, ... below 16 degrees with d = 1, one line at 191.42
+    degrees with d = 1, and two at 100 and 280 degrees with d = 3.  Vertex k
+    joins lines k - 1 and k, so edge 0 lies on the 0 degree line; the copy
+    is then rolled by ``shift`` vertices and rotated by ``phi``."""
+    lines = [(a, 1.0) for a in np.arange(0.0, 16.0, step)]
+    lines += [(100.0, 3.0), (191.42, 1.0), (280.0, 3.0)]
+    th = np.radians([a for a, _ in lines]) + phi
+    d = np.array([b for _, b in lines])
+    u = np.column_stack([np.cos(th), np.sin(th)])
+    n = len(u)
+    pts = [np.linalg.solve(u[[k, (k + 1) % n]], d[[k, (k + 1) % n]]) for k in range(n)]
+    return validate_polygon(np.roll(np.array(pts), 1 - shift, axis=0))
+
+
+@pytest.mark.parametrize("step, n", [(0.5, 35), (1.0, 19)])
+def test_a2_fan_and_one_opposite_edge(step, n):
+    # the unit circle touches the fan and the 191.42 degree edge; a triple
+    # spans only with one fan edge below 11.42 degrees and one above.  A
+    # spread pick from edge 0 takes 191.42 and 0.5 degrees, which leaves a
+    # gap of 190.92 degrees: with more than 5000 triples, a2 raised
+    want = None
+    for shift in range(0, n, 4):
+        for phi in (0.0, 1.0, 2.5, -0.7):
+            poly = fan_polygon(step, shift, phi)
+            circ = largest_inscribed_circle(poly)
+            assert len(poly) == n and len(circ.touching_edges) == n - 2
+            assert circ.radius == pytest.approx(1.0, rel=1e-12)
+            assert tangent_triangle(poly, circ) is not None
+            sol = algo_a2(poly)
+            assert sol.extras["b3_length"] is not None
+            assert is_opaque(poly, sol.barrier).opaque
+            want = sol.length if want is None else want
+            assert sol.length == pytest.approx(want, rel=1e-12)
+
+
+def spans(ang, i, j, k):
+    return max(ang[j] - ang[i], ang[k] - ang[j], TWO_PI - (ang[k] - ang[i])) < math.pi - TOL_ANG
+
+
+def test_tangent_triple_greedy_counterexample():
+    # a pick of the edges nearest 120 and 240 degrees past 0 takes
+    # (0, 9.73, 191.42), with a gap of 181.69 degrees
+    ang = np.radians([0.0, 9.73, 12.0, 191.42]).tolist()
+    pick = _tangent_triple(ang)
+    assert pick is not None and spans(ang, *pick)
+
+
+# random sets; a cluster within 0.5 rad and one angle near its opposite;
+# near-regular sets; each from a base angle in [-pi, pi]
+angle_sets = st.tuples(st.floats(-math.pi, math.pi), st.one_of(
+    st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=2, max_size=12, unique=True)
+    .map(sorted),
+    st.tuples(st.lists(st.floats(0.0, 0.5), min_size=2, max_size=30, unique=True),
+              st.floats(math.pi - 0.1, math.pi + 0.6))
+    .map(lambda s: sorted(s[0]) + [s[1]]),
+    st.integers(3, 40).flatmap(lambda k: st.lists(
+        st.floats(-0.4 * math.pi / k, 0.4 * math.pi / k), min_size=k, max_size=k)
+        .map(lambda jit: [TWO_PI * i / k + x for i, x in enumerate(jit)])),
+)).map(lambda s: [s[0] + a for a in s[1]])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(ang=angle_sets)
+def test_tangent_triple_spans_when_any_triple_does(ang):
+    assume(all(a < b for a, b in zip(ang, ang[1:])) and ang[-1] - ang[0] < TWO_PI)
+    pick = _tangent_triple(ang)
+    if pick is not None:
+        assert pick[0] < pick[1] < pick[2] and spans(ang, *pick)
+    assert (pick is not None) == any(spans(ang, *c) for c in itertools.combinations(range(len(ang)), 3))

@@ -64,7 +64,8 @@ def test_polygon_setup_peak_memory(shape):
     assert peak_bytes(min_width, poly) < 4 * MB
 
 
-@pytest.mark.parametrize("method", [algo_a1, algo_a3, algo_a4], ids=["a1", "a3", "a4"])
+@pytest.mark.parametrize("method", [algo_a1, algo_a2, algo_a3, algo_a4],
+                         ids=["a1", "a2", "a3", "a4"])
 @pytest.mark.parametrize("shape", sorted(LARGE))
 def test_large_polygon_peak_memory(shape, method):
     poly = LARGE[shape]()
@@ -81,6 +82,8 @@ def test_interior_arc_peak_memory():
 def test_a2_odd_ngon_peak_memory():
     # every edge of an odd regular polygon touches its incircle
     assert peak_bytes(algo_a2, regular_ngon(401)) < 32 * MB
+    # the tangent-triangle pick keeps a few lists of t floats and ints
+    assert peak_bytes(algo_a2, regular_ngon(16385)) < 64 * MB
 
 
 @pytest.mark.parametrize("method", [algo_a3, interior_single_arc], ids=["a3", "interior-arc"])
