@@ -15,6 +15,7 @@ Exact interior barriers:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ from .geometry import (
     min_perimeter_rectangle,
     min_width,
     polyline_length,
+    read_points,
     support_window,
     unit_normal,
 )
@@ -55,19 +57,21 @@ class Barrier:
             raise ValueError(f"unknown barrier kind {self.kind!r}")
         if not self.polylines:
             raise ValueError("barrier needs at least one polyline")
-        clean = tuple(
-            tuple(Point2(float(p[0]), float(p[1])) for p in pl)
-            for pl in self.polylines
-        )
+        # one read of every point, which also gives the Point2 tuples
+        sizes = [len(pl) for pl in self.polylines]
+        xy = read_points([p for pl in self.polylines for p in pl], "barrier points")
+        xy.flags.writeable = False
+        object.__setattr__(self, "_xy", xy)
+        if min(sizes) < 2:
+            raise ValueError("each polyline needs at least 2 points")
+        pts = map(Point2._make, xy.tolist())
+        clean = tuple(tuple(itertools.islice(pts, k)) for k in sizes)
         object.__setattr__(self, "polylines", clean)
-        for pl in clean:
-            if len(pl) < 2:
-                raise ValueError("each polyline needs at least 2 points")
         if self.length <= 0.0 or not math.isfinite(self.length):
             raise ValueError("barrier length must be finite and positive")
         if self.kind == "single-arc" and len(clean) != 1:
             raise ValueError("single-arc barrier must be one polyline")
-        if self.kind == "connected" and not _polylines_connected(clean, self.components):
+        if self.kind == "connected" and not _polylines_connected(clean, self.components, xy):
             raise ValueError("polylines of a connected barrier must touch")
 
     @functools.cached_property
@@ -75,7 +79,7 @@ class Barrier:
         """Sum of ``polyline_length`` over the polylines, from one hypot
         over all the points: each polyline sums its own slice, so numpy's
         pairwise order, and every bit, stays that of ``polyline_length``."""
-        d = np.diff(np.array([p for pl in self.polylines for p in pl]), axis=0)
+        d = np.diff(self._xy, axis=0)
         h = np.hypot(d[:, 0], d[:, 1])
         out, s = [], 0
         for pl in self.polylines:
@@ -96,7 +100,9 @@ class Barrier:
         return out
 
     def all_points(self) -> np.ndarray:
-        return np.concatenate([np.asarray(pl, dtype=float) for pl in self.polylines])
+        """Every point of every polyline, in order, as a read-only (m, 2)
+        float array."""
+        return self._xy
 
 
 @dataclass(frozen=True)
@@ -139,16 +145,15 @@ def components(polylines) -> list[list[int]]:
     return list(groups.values())
 
 
-def _polylines_connected(polylines, groups) -> bool:
+def _polylines_connected(polylines, groups, xy: np.ndarray) -> bool:
     """Do the polylines form one connected set?  Exactly shared vertices
     connect (``groups``, their ``components``); so do segments within
-    TOL_GEOM_REL times the points' extent of each other, crossings
-    included."""
+    TOL_GEOM_REL times the extent of their points ``xy`` of each other,
+    crossings included."""
     todo = list(groups)
     if len(todo) == 1:
         return True
-    pts = np.concatenate([np.asarray(pl, dtype=float) for pl in polylines])
-    tol = TOL_GEOM_REL * max(float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))), 1e-300)
+    tol = TOL_GEOM_REL * max(float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0)))), 1e-300)
     frontier = [todo.pop(0)]
     while frontier and todo:
         group = frontier.pop()
@@ -206,12 +211,17 @@ def _solution(poly, barrier, method, extras=None) -> BarrierSolution:
     return BarrierSolution(barrier, length, lb, method, length / lb, extras or {})
 
 
-def _collapse(points, tol: float):
-    out = [points[0]]
-    for p in points[1:]:
-        if math.dist(p, out[-1]) > tol:
-            out.append(p)
-    return out
+def _path(start, chain: list, end, tol: float) -> list:
+    """``start``, the polygon vertices ``chain`` and ``end`` as one list of
+    coordinates, without a point within ``tol`` of the one kept before it.
+    Consecutive polygon vertices lie farther apart than tol_geom (the
+    validation's duplicate test), so only the two ends can collapse."""
+    pts = [start, *chain, end]
+    if math.dist(pts[0], pts[1]) <= tol:
+        del pts[1]
+    if math.dist(pts[-2], pts[-1]) <= tol:
+        del pts[-1]
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +252,19 @@ def _u_lengths(poly: ConvexPolygon, thetas):
     return i1, i2, t0, (tmin[0] - t0) + (tmin[1] - t0) + arc
 
 
-def _shortest_u_curve(poly: ConvexPolygon, thetas) -> UCurve:
-    """The shortest U-curve over an array of baselines, first on ties,
-    built from the contacts its scoring found."""
+def _shortest_u_curve(poly: ConvexPolygon, thetas) -> tuple[float, Barrier]:
+    """The shortest U-curve over an array of baselines, first on ties, as
+    its baseline and its single-arc barrier, built from the contacts its
+    scoring found."""
     i1, i2, _, lengths = _u_lengths(poly, thetas)
     k = int(np.argmin(lengths))
     theta, i1, i2 = float(thetas[k]), int(i1[k]), int(i2[k])
     nrm = unit_normal(theta)
     t = poly.coords @ nrm
     t0 = t.min()  # one rounding for the baseline and both drops
-    pts = poly.points((i1 - np.arange((i1 - i2) % len(poly) + 1)) % len(poly))
-    q1 = Point2(*(np.asarray(pts[0]) + (t0 - t[i1]) * nrm))
-    q2 = Point2(*(np.asarray(pts[-1]) + (t0 - t[i2]) * nrm))
-    poly_pts = _collapse([q1] + pts + [q2], poly.tol_geom)
-    return UCurve(theta, tuple(poly_pts), float(polyline_length(poly_pts)))
+    chain = poly.coords[(i1 - np.arange((i1 - i2) % len(poly) + 1)) % len(poly)]
+    q1, q2 = (chain[[0, -1]] + (t0 - t[[i1, i2]])[:, None] * nrm).tolist()
+    return theta, Barrier((_path(q1, chain.tolist(), q2, poly.tol_geom),), "single-arc")
 
 
 def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
@@ -264,16 +273,16 @@ def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
     ``baseline`` is an oriented direction in [0, 2*pi); the baseline line is
     tangent to the polygon with the polygon on its left.
     """
-    return _shortest_u_curve(poly, [canon_oriented_angle(baseline)])
+    theta, barrier = _shortest_u_curve(poly, [canon_oriented_angle(baseline)])
+    return UCurve(theta, barrier.polylines[0], barrier.length)
 
 
 def algo_a1(poly: ConvexPolygon) -> BarrierSolution:
     """Shorter of the two U-curves of the minimum-width strip."""
     alpha_star, w, strip = min_width(poly)
     phi = strip.direction
-    curve = _shortest_u_curve(poly, [phi, canon_oriented_angle(phi + math.pi)])
-    barrier = Barrier((curve.polyline,), "single-arc")
-    return _solution(poly, barrier, "a1", {"width": w, "baseline": curve.baseline})
+    theta, barrier = _shortest_u_curve(poly, [phi, canon_oriented_angle(phi + math.pi)])
+    return _solution(poly, barrier, "a1", {"width": w, "baseline": theta})
 
 
 def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
@@ -306,9 +315,8 @@ def algo_a3(poly: ConvexPolygon) -> BarrierSolution:
     e = np.roll(poly.coords, -1, axis=0) - poly.coords
     thetas = np.unique(canon_oriented_angle(
         np.arctan2(e[:, 1], e[:, 0])[:, None] + [0.0, math.pi / 2.0, -math.pi / 2.0]))
-    curve = _shortest_u_curve(poly, thetas)
-    barrier = Barrier((curve.polyline,), "single-arc")
-    return _solution(poly, barrier, "a3", {"baseline": curve.baseline})
+    theta, barrier = _shortest_u_curve(poly, thetas)
+    return _solution(poly, barrier, "a3", {"baseline": theta})
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +344,20 @@ def algo_a4_candidates(poly: ConvexPolygon):
     for row, inside in zip(cand.tolist(), near.tolist()):
         run = {v for v, f in zip(row, inside) if f}
         runs.append([next(v for v in run if (v + d) % n not in run) for d in (-1, 1)])
-    corners = [Point2(*p) for p in c]
+    corners = c.tolist()
     out = []
     for k in range(4):
-        start = corners[k]
-        end = corners[(k + 2) % 4]
-        opp = corners[(k + 3) % 4]
         i = runs[k][0]
         j = runs[(k + 1) % 4][1]
-        idx = (i + np.arange((j - i) % n + 1)) % n
-        path = _collapse([start] + [poly.vertices[q] for q in idx] + [end], poly.tol_geom)
-        foot = _foot_on_segment(opp, start, end)
-        polylines = (tuple(path), (opp, foot))
+        chain = poly.coords[(i + np.arange((j - i) % n + 1)) % n].tolist()
+        path = _path(corners[k], chain, corners[(k + 2) % 4], poly.tol_geom)
+        # the altitude from the opposite corner to the diagonal start-end
+        start, opp = c[k], corners[(k + 3) % 4]
+        ab = c[(k + 2) % 4] - start
+        foot = (start + float((c[(k + 3) % 4] - start) @ ab) / float(ab @ ab) * ab).tolist()
         length = polyline_length(path) + math.dist(opp, foot)
-        out.append((polylines, length))
+        out.append(((path, [opp, foot]), length))
     return rect, alt, out
-
-
-def _foot_on_segment(p: Point2, a: Point2, b: Point2) -> Point2:
-    av = np.asarray(a, float)
-    ab = np.asarray(b, float) - av
-    tt = float((np.asarray(p, float) - av) @ ab) / float(ab @ ab)
-    return Point2(*(av + tt * ab))
 
 
 def algo_a4(poly: ConvexPolygon) -> BarrierSolution:
@@ -449,8 +449,7 @@ def interior_single_arc(poly: ConvexPolygon) -> BarrierSolution:
     vertices, by the circular-run dynamic program."""
     lengths, choice_s, choice_t = hamiltonian_path_tables(poly)
     order = _reconstruct_path(choice_s, choice_t, int(np.argmin(lengths)))
-    pts = tuple(poly.vertices[k] for k in order)
-    barrier = Barrier((pts,), "single-arc")
+    barrier = Barrier((poly.coords[order].tolist(),), "single-arc")
     return _solution(poly, barrier, "interior-arc", {"order": order})
 
 
@@ -460,7 +459,7 @@ def interior_connected(poly: ConvexPolygon) -> BarrierSolution:
     Exact for up to 4 vertices; for larger polygons an MST-based heuristic
     whose length sits between (sqrt(3)/2) * MST and MST.
     """
-    nodes, edges, length, exact = steiner_tree(poly.vertices)
+    nodes, edges, length, exact = steiner_tree(poly.coords)
     polylines = tuple((nodes[i], nodes[j]) for i, j in edges)
     barrier = Barrier(polylines, "connected")
     return _solution(poly, barrier, "interior-tree", {"heuristic": not exact})

@@ -26,7 +26,7 @@ from .barriers import (
     interior_single_arc,
 )
 from .fixtures import BadFixtureParameter, UnknownFixture, make_fixture, random_convex_polygon
-from .geometry import ConvexPolygon, Point2, PolygonError, signed_area2, validate_polygon
+from .geometry import ConvexPolygon, PolygonError, signed_area2, validate_polygon
 from .verify import is_opaque
 
 METHODS = {
@@ -69,7 +69,7 @@ def _json_value(obj) -> str:
 
 
 def polygon_document(poly: ConvexPolygon) -> dict:
-    return {"vertices": [[v.x, v.y] for v in poly.vertices]}
+    return {"vertices": poly.coords.tolist()}
 
 
 def barrier_document(sol: BarrierSolution) -> dict:
@@ -96,10 +96,7 @@ def read_polygon(path: str, auto_orient: bool = False) -> ConvexPolygon:
 def read_barrier(path: str) -> Barrier:
     with open(path) as fh:
         doc = json.load(fh)
-    polylines = tuple(
-        tuple(Point2(float(x), float(y)) for x, y in pl)
-        for pl in doc["polylines"])
-    return Barrier(polylines, str(doc.get("kind", "arbitrary")))
+    return Barrier(doc["polylines"], str(doc.get("kind", "arbitrary")))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ def write_svg(path: str, poly: ConvexPolygon, barrier: Barrier | None,
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{x0:.6g} {y0:.6g} {x1 - x0:.6g} {y1 - y0:.6g}" '
         f'width="640" height="{max(1, int(640 * (y1 - y0) / (x1 - x0)))}">',
-        f'<polygon points="{" ".join(pt(v) for v in poly.vertices)}" '
+        f'<polygon points="{" ".join(pt(v) for v in poly.coords.tolist())}" '
         f'fill="#dbe9f6" stroke="#5b8db8" stroke-width="{stroke / 2:.6g}"/>',
     ]
     if barrier is not None:

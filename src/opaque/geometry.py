@@ -8,8 +8,10 @@ lookup (``extreme_index``), projections.
 Validation runs a fixed number of numpy calls: one read of the
 coordinates, one closed copy of them for the edges, turns and signed area,
 and the edge-normal angles, which also reject a boundary that winds more
-than once.  The diameter is one ``extreme_index`` lookup over those angles;
-the ``Point2`` tuple of vertices is built only when a caller reads it.
+than once.  The diameter is one ``extreme_index`` lookup over those angles.
+Coordinates enter the package only through ``read_points``; the
+constructions work on ``coords``, and the ``Point2`` tuple of vertices is
+built only when a caller reads it.
 
 Conventions:
   * polygons are counterclockwise vertex cycles, strictly convex;
@@ -155,14 +157,7 @@ class ConvexPolygon:
     """
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
-        try:
-            arr = np.array(vertices, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise PolygonError(f"vertices must be (x, y) pairs of numbers: {exc}") from None
-        if arr.shape == (0,):
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise PolygonError(f"vertices must be (x, y) pairs, got an array of shape {arr.shape}")
+        arr = read_points(vertices, "vertices", PolygonError)
         closed, edges, lengths, nrm = _check_polygon(arr)
         # rows n and n + 1 repeat vertices 0 and 1, so an edge's far vertex
         # and its neighbours are read without wrapping indices
@@ -198,13 +193,8 @@ class ConvexPolygon:
     def vertices(self) -> tuple[Point2, ...]:
         """The vertices as ``Point2`` tuples, built on first use."""
         if self._vertices is None:
-            self._vertices = tuple(self.points(slice(None)))
+            self._vertices = tuple(map(Point2._make, self._coords.tolist()))
         return self._vertices
-
-    def points(self, idx) -> list[Point2]:
-        """The vertices at the indices ``idx``, as ``Point2``; a run of the
-        boundary costs its own length, not the whole ``vertices``."""
-        return list(map(Point2._make, self._coords[idx].tolist()))
 
     @property
     def diameter(self) -> float:
@@ -236,6 +226,21 @@ class ConvexPolygon:
         """Inward unit normals m_i and offsets o_i with interior
         {q : m_i . q >= o_i for all i}."""
         return self._inward
+
+
+def read_points(points, what: str = "points", error: type[ValueError] = ValueError) -> np.ndarray:
+    """``points``, a sequence of (x, y) pairs of numbers or an (m, 2)
+    array, as a new (m, 2) float array: the one way coordinates enter the
+    package.  Raises ``error`` for any other shape or for non-numbers."""
+    try:
+        arr = np.array(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be (x, y) pairs of numbers: {exc}") from None
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise error(f"{what} must be (x, y) pairs, got an array of shape {arr.shape}")
+    return arr
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, TOL_LEN_REL, Point2
+from .geometry import TOL_ANG, TOL_AREA_REL, TOL_GEOM_REL, TOL_LEN_REL, Point2, read_points
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _WIDE_ANGLE = _TWO_THIRDS_PI - TOL_ANG
@@ -33,10 +33,6 @@ _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 # one `_fermat` tests can differ, so `_fermat` always agrees with it
 _WIDE_MARGIN = 1e-6
 _COS_WIDE = math.cos(_TWO_THIRDS_PI + _WIDE_MARGIN)
-
-
-def _pt(p) -> Point2:
-    return Point2(float(p[0]), float(p[1]))
 
 
 def steiner_three_points(a, b, c) -> tuple[Point2 | None, float]:
@@ -168,14 +164,14 @@ def euclidean_mst(points) -> tuple[list[tuple[int, int]], float]:
 
 
 def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
-    """Steiner tree of the terminal set.
+    """Steiner tree of the terminal set, (x, y) pairs or an (n, 2) array.
 
     Exact for up to 4 terminals; beyond that an MST improved by greedy
     Fermat-star merging (an upper bound within the Steiner-ratio sandwich
     of the optimum).  Returns (nodes, edges, length, exact_flag); nodes
     start with the terminals, junction points follow.
     """
-    pts = [_pt(p) for p in points]
+    pts = list(map(Point2._make, read_points(points, "terminals").tolist()))
     n = len(pts)
     if n < 2:
         raise ValueError("need at least 2 terminals")

@@ -69,9 +69,13 @@ def ref_heuristic(pts):
     return nodes, out_edges, length, False
 
 
+def _pt(p) -> Point2:
+    return Point2(float(p[0]), float(p[1]))
+
+
 def reference(points):
     """steiner_tree with the heuristic branch replaced by the reference."""
-    pts = [steiner._pt(p) for p in points]
+    pts = [_pt(p) for p in points]
     return ref_heuristic(pts) if len(pts) > 4 else steiner_tree(pts)
 
 
