@@ -296,8 +296,11 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
         extras["b3_length"] = b3_len
         # the two candidates tie on triangles with a vertex of 120 degrees or
         # more (both are the two sides at that vertex): take the tree unless
-        # it is longer by more than rounding, so rotation cannot flip the kind
-        if b3_len <= a1.length + TOL_LEN_REL * poly.diameter:
+        # it is longer by more than rounding, so no similarity flips the
+        # kind.  Far from the origin a1's zero-length drops land a fraction
+        # of an ulp of the coordinates off their vertex, beyond TOL_LEN_REL
+        mag = float(np.abs(poly.coords).max())
+        if b3_len <= a1.length + TOL_LEN_REL * poly.diameter + 4.0 * np.finfo(float).eps * mag:
             polylines = tuple((nodes[i], nodes[j]) for i, j in edges)
             barrier = Barrier(polylines, "connected")
             return _solution(poly, barrier, "a2", extras)
@@ -333,22 +336,25 @@ def algo_a4_candidates(poly: ConvexPolygon):
     c = np.array(rect.corners, dtype=float)
     x, y = rect.side_x, rect.side_y
     alt = x * y / math.hypot(x, y)
-    u = (c[1] - c[0]) / x
-    nrm = (c[3] - c[0]) / y
+    # the rectangle's own frame: far from the origin, corner differences
+    # divided by the sides are off by ulp(|corner|) / side
+    u, nrm = rect.axis_x, rect.axis_y
     n = len(poly)
     # first and last vertex, counterclockwise, of the runs touching the
-    # bottom, right, top and left sides (a window may repeat vertices)
-    cand, near, _ = support_window(poly, [-nrm[0], u[0], nrm[0], -u[0]],
-                                   [-nrm[1], u[1], nrm[1], -u[1]], poly.tol_geom)
-    runs = []
-    for row, inside in zip(cand.tolist(), near.tolist()):
-        run = {v for v, f in zip(row, inside) if f}
-        runs.append([next(v for v in run if (v + d) % n not in run) for d in (-1, 1)])
+    # bottom, right, top and left sides: the ends of each run along its side
+    # (u, nrm, -u, -nrm), which stay apart even where rounding puts every
+    # vertex of a polygon thinner than it on both long sides
+    out_nrm = np.array([[-nrm[0], -nrm[1]], [u[0], u[1]], [nrm[0], nrm[1]], [-u[0], -u[1]]])
+    cand, near, _ = support_window(poly, out_nrm[:, 0], out_nrm[:, 1], poly.tol_geom)
+    along = poly.coords[cand, 0] * -out_nrm[:, 1:] + poly.coords[cand, 1] * out_nrm[:, :1]
+    rows = np.arange(4)
+    first = cand[rows, np.where(near, along, np.inf).argmin(axis=1)].tolist()
+    last = cand[rows, np.where(near, along, -np.inf).argmax(axis=1)].tolist()
     corners = c.tolist()
     out = []
     for k in range(4):
-        i = runs[k][0]
-        j = runs[(k + 1) % 4][1]
+        i = first[k]
+        j = last[(k + 1) % 4]
         chain = poly.coords[(i + np.arange((j - i) % n + 1)) % n].tolist()
         path = _path(corners[k], chain, corners[(k + 2) % 4], poly.tol_geom)
         # the altitude from the opposite corner to the diagonal start-end

@@ -143,6 +143,8 @@ class OrientedRectangle:
     corners: tuple[Point2, Point2, Point2, Point2]  # counterclockwise
     side_x: float
     side_y: float
+    axis_x: Point2   # unit vector from corner 0 to corner 1 (along side_x)
+    axis_y: Point2   # unit vector from corner 0 to corner 3 (along side_y)
 
     @property
     def perimeter(self) -> float:
@@ -444,7 +446,8 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
     lo, hi = (float(s.min()), float(t.min())), (float(s.max()), float(t.max()))
     corners = tuple(Point2(*(a * u + b * nvec))
                     for a, b in (lo, (hi[0], lo[1]), hi, (lo[0], hi[1])))
-    return OrientedRectangle(corners, hi[0] - lo[0], hi[1] - lo[1])
+    return OrientedRectangle(corners, hi[0] - lo[0], hi[1] - lo[1],
+                             Point2._make(u.tolist()), Point2._make(nvec.tolist()))
 
 
 def project(obj, theta: float) -> Interval:

@@ -156,7 +156,7 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
     triangle exists).  Otherwise the three edges are the ``_tangent_triple``
     pick: normals that positively span the plane, with a small corner triangle.
     """
-    m, o = poly.edge_normals_offsets()
+    m, _ = poly.edge_normals_offsets()
     touch = sorted(circ.touching_edges)
     # a pair tilted by at most TOL_TOUCH_REL from antiparallel moves apart
     # by at most tol_touch across the polygon, the slack that let both
@@ -175,9 +175,16 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
         raise InconsistentIncircle(
             "no antipodal touching pair and no positively spanning triple")
     i, j, k = (touch[p] for p in pick)
-    # every gap of a spanning triple exceeds 2 * TOL_ANG: no two lines are parallel
-    corners = tuple(Point2(*map(float, np.linalg.solve(m[[a, b]], o[[a, b]])))
-                    for a, b in ((i, j), (j, k), (k, i)))
+    # every gap of a spanning triple exceeds 2 * TOL_ANG: no two lines are
+    # parallel.  Each line's offset is taken from a coordinate difference,
+    # relative to vertex 0: far from the origin the absolute offsets lose
+    # ulp(|offset|), which a thin triangle magnifies in its corners
+    v = poly.coords
+    corners = []
+    for a, b in ((i, j), (j, k), (k, i)):
+        ab = m[[a, b]]
+        q = v[0] + np.linalg.solve(ab, (ab * (v[[a, b]] - v[0])).sum(axis=1))
+        corners.append(Point2._make(q.tolist()))
     sides = sorted(map(math.dist, corners, corners[1:] + corners[:1]), reverse=True)
     return TangentTriangle(*corners, tuple(sides))
 

@@ -84,6 +84,22 @@ class TestBarrierType:
         with pytest.raises(ValueError):
             Barrier(((Point2(0, 0),),), "arbitrary")
 
+    @pytest.mark.parametrize("polyline", [
+        ((0, 0, 0), (1, 1, 1)),          # three coordinates
+        ((0,), (1,)),                    # one coordinate
+        ((0, 0), (1,)),                  # ragged
+        ((0, 0), (1, 1, 1)),
+        ((0, 0), ("x", 1)),              # not numbers
+        ((0, 0), (object(), 1)),
+    ])
+    def test_points_must_be_pairs_of_numbers(self, polyline):
+        with pytest.raises(ValueError, match=r"barrier points must be \(x, y\) pairs"):
+            Barrier((((0, 0), (1, 0)), polyline), "arbitrary")
+
+    def test_one_point_polyline(self):
+        with pytest.raises(ValueError, match="each polyline needs at least 2 points"):
+            Barrier((((0, 0), (1, 0)), ((1, 1),)), "arbitrary")
+
 
 class TestHalfPerimeter:
     def test_square(self, square):

@@ -175,6 +175,13 @@ class TestVerify:
                                "--barrier", str(bfile))
             assert code == 2
             assert err.startswith("malformed") and err.count("\n") == 1
+        # points that are not (x, y) pairs, and a one-point polyline
+        for polyline in ([[0, 0, 0], [1, 1, 1]], [[0], [1]], [[0, 0], [1]], [[0, 0]]):
+            bfile.write_text(json.dumps({"polylines": [polyline], "kind": "arbitrary"}))
+            code, _, err = run(capsys, "verify", "--polygon", square_file,
+                               "--barrier", str(bfile))
+            assert code == 2
+            assert err.startswith("malformed") and err.count("\n") == 1
         code, _, err = run(capsys, "fixture", "--name", "regular-ngon", "--param", "n=1e3")
         assert code == 2
         assert err.startswith("bad parameter") and err.count("\n") == 1

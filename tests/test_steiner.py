@@ -240,6 +240,20 @@ class TestSteinerTree:
         nodes, edges, length, exact = steiner_tree([(0, 0), (3, 4)])
         assert exact and length == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("bad", [
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],   # three coordinates
+        [(0,), (1,), (2,)],                  # one coordinate
+        [(0, 0), (1, 0), (0,)],              # ragged
+        [(0, 0), (1, 0), ("x", 1)],          # not numbers
+    ])
+    def test_terminals_must_be_pairs_of_numbers(self, bad):
+        with pytest.raises(ValueError, match=r"terminals must be \(x, y\) pairs"):
+            steiner_tree(bad)
+
+    def test_terminals_as_array(self):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        assert steiner_tree(pts) == steiner_tree([tuple(p) for p in pts.tolist()])
+
     def test_four_points_vs_numeric(self):
         # exact 4-terminal answer matches free optimization of two junctions
         rng = np.random.default_rng(31)

@@ -34,7 +34,7 @@ TRIPLE_CAP = 5000
 
 
 def ref_tangent_triangle(poly, circ):
-    m, o = poly.edge_normals_offsets()
+    m, _ = poly.edge_normals_offsets()
     touch = sorted(circ.touching_edges)
     i, j = _antipodal_candidates(poly.normal_angles, touch)
     mi, mj = m[i], m[j]
@@ -47,7 +47,7 @@ def ref_tangent_triangle(poly, circ):
             "no antipodal touching pair and no positively spanning triple")
     best = None
     for triple in triples:
-        corners = _corner_points(m, o, triple)
+        corners = _corner_points(m, poly.coords, triple)
         if corners is None:
             continue
         _, length = steiner_three_points(*corners)
@@ -76,7 +76,9 @@ def ref_spanning_triples(nrm, touch):
             if max(ang[j] - ang[i], ang[k] - ang[j], TWO_PI - (ang[k] - ang[i])) < math.pi - TOL_ANG]
 
 
-def _corner_points(m, o, triple):
+def _corner_points(m, v, triple):
+    # the lines m_i . q = m_i . v_i through edge i's first vertex v_i, solved
+    # relative to vertex 0
     corners = []
     ids = list(triple)
     for i, j in ((ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])):
@@ -84,7 +86,7 @@ def _corner_points(m, o, triple):
         det = float(np.linalg.det(a))
         if abs(det) < 1e-14:
             return None
-        p = np.linalg.solve(a, np.array([o[i], o[j]]))
+        p = v[0] + np.linalg.solve(a, (a * (v[[i, j]] - v[0])).sum(axis=1))
         corners.append(Point2(float(p[0]), float(p[1])))
     return tuple(corners)
 

@@ -19,6 +19,7 @@ from opaque import (
     Barrier,
     Point2,
     algo_a1,
+    algo_a2,
     algo_a3,
     algo_a4,
     interior_connected,
@@ -108,11 +109,14 @@ SIMILARITY = dict(HULLS, log_scale=st.floats(-6.0, 6.0), log_shift=st.floats(0.0
                   start=st.integers(0, 2 ** 16))
 
 
-def similar_twin(seed, n, log_scale, log_shift, turn, psi, start):
+def similar_twin(seed, n, **transform):
     """A hull, its copy under a cyclic shift, a rotation, a scale of
     1e-6..1e6 and a translation of up to 1e9 diameters, the scale, and the
     length difference that the rounding of the coordinates explains."""
-    poly = hull(seed, n)
+    return twin_of(hull(seed, n), **transform)
+
+
+def twin_of(poly, log_scale, log_shift, turn, psi, start):
     s = 10.0 ** log_scale
     c, r = math.cos(turn), math.sin(turn)
     pts = np.roll(poly.coords, -(start % len(poly)), axis=0) @ np.array([[c, r], [-r, c]]) * s
@@ -135,19 +139,56 @@ def test_a4_similarity(**case):
         assert not is_opaque(p, truncated(p, sol.barrier)).opaque
 
 
-@pytest.mark.parametrize("name", ["a1", "a3", "interior-arc"])
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "interior-arc"])
 @PROPERTY
 @given(**SIMILARITY)
 def test_similarity(name, **case):
-    # a2 is left out: where a1's arc and the tangent-triangle tree tie
-    # within rounding, a twin may report the other kind
     poly, twin, s, tol = similar_twin(**case)
-    want, got = BUILDERS[name](poly), BUILDERS[name](twin)
+    build = algo_a2 if name == "a2" else BUILDERS[name]
+    want, got = build(poly), build(twin)
     assert abs(got.length / s - want.length) <= tol
     assert got.barrier.kind == want.barrier.kind
     for p, sol in ((poly, want), (twin, got)):
         report = is_opaque(p, sol.barrier)
         assert (report.opaque, report.certificate) == (True, "hull")
+
+
+def test_a2_kind_on_triangle_twins(ratio_polys):
+    # a1's arc and the tangent-triangle tree agree to rounding on this
+    # triangle, so a tree whose corners lose precision far from the origin
+    # flips the kind; SIMILARITY's hulls have at least 5 vertices
+    poly = ratio_polys[137]
+    assert len(poly) == 3
+    rng = np.random.default_rng(137)
+    kinds = set()
+    for _ in range(200):
+        twin = twin_of(poly, log_scale=rng.uniform(-6.0, 6.0), log_shift=rng.uniform(0.0, 9.0),
+                       turn=rng.uniform(0.0, 2.0 * math.pi), psi=rng.uniform(0.0, 2.0 * math.pi),
+                       start=int(rng.integers(0, 3)))[1]
+        kinds.add(algo_a2(twin).barrier.kind)
+    assert kinds == {algo_a2(poly).barrier.kind}
+
+
+THIN = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 11), log_aspect=st.floats(-7.0, 0.0),
+            turn=st.floats(0.0, 2.0 * math.pi), psi=st.floats(0.0, 2.0 * math.pi),
+            shift=st.floats(0.0, 1e6))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(**THIN)
+def test_thin_far_polygons(seed, n, log_aspect, turn, psi, shift):
+    # vertices on an ellipse of aspect 1e-7..1, turned, and moved up to 1e6
+    # diameters from the origin: every strip construction still blocks
+    # every line.  Each vertex keeps a share of its own 1/n of the turn,
+    # so the input is valid at every such shift
+    rng = np.random.default_rng(seed)
+    ang = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.0, 0.8, n)) / n
+    c, r = math.cos(turn), math.sin(turn)
+    pts = np.column_stack([np.cos(ang), 10.0 ** log_aspect * np.sin(ang)]) @ np.array([[c, r], [-r, c]])
+    base = validate_polygon(pts)
+    poly = validate_polygon(pts + shift * base.diameter * np.array([math.cos(psi), math.sin(psi)]))
+    for build in (algo_a1, algo_a2, algo_a3, algo_a4):
+        assert is_opaque(poly, build(poly).barrier).opaque, build.__name__
 
 
 def split_bottom(gap):
