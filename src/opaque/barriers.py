@@ -57,10 +57,8 @@ class Barrier:
             raise ValueError(f"unknown barrier kind {self.kind!r}")
         if not self.polylines:
             raise ValueError("barrier needs at least one polyline")
-        # one read of every point, which also gives the Point2 tuples
         sizes = [len(pl) for pl in self.polylines]
         xy = read_points([p for pl in self.polylines for p in pl], "barrier points")
-        xy.flags.writeable = False
         object.__setattr__(self, "_xy", xy)
         if min(sizes) < 2:
             raise ValueError("each polyline needs at least 2 points")
@@ -100,8 +98,7 @@ class Barrier:
         return out
 
     def all_points(self) -> np.ndarray:
-        """Every point of every polyline, in order, as a read-only (m, 2)
-        float array."""
+        """Every point, polyline by polyline, as a read-only (m, 2) array."""
         return self._xy
 
 
@@ -212,10 +209,9 @@ def _solution(poly, barrier, method, extras=None) -> BarrierSolution:
 
 
 def _path(start, chain: list, end, tol: float) -> list:
-    """``start``, the polygon vertices ``chain`` and ``end`` as one list of
-    coordinates, without a point within ``tol`` of the one kept before it.
-    Consecutive polygon vertices lie farther apart than tol_geom (the
-    validation's duplicate test), so only the two ends can collapse."""
+    """``start``, the polygon vertices ``chain`` and ``end``, less a point
+    within ``tol`` of the one kept before it: validated vertices lie farther
+    apart than tol_geom, so only the two ends can collapse."""
     pts = [start, *chain, end]
     if math.dist(pts[0], pts[1]) <= tol:
         del pts[1]
@@ -253,9 +249,8 @@ def _u_lengths(poly: ConvexPolygon, thetas):
 
 
 def _shortest_u_curve(poly: ConvexPolygon, thetas) -> tuple[float, Barrier]:
-    """The shortest U-curve over an array of baselines, first on ties, as
-    its baseline and its single-arc barrier, built from the contacts its
-    scoring found."""
+    """Baseline and single-arc barrier of the shortest U-curve over an array
+    of baselines, first on ties, built from the contacts its scoring found."""
     i1, i2, _, lengths = _u_lengths(poly, thetas)
     k = int(np.argmin(lengths))
     theta, i1, i2 = float(thetas[k]), int(i1[k]), int(i2[k])
@@ -296,11 +291,10 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
         extras["b3_length"] = b3_len
         # the two candidates tie on triangles with a vertex of 120 degrees or
         # more (both are the two sides at that vertex): take the tree unless
-        # it is longer by more than rounding, so no similarity flips the
-        # kind.  Far from the origin a1's zero-length drops land a fraction
-        # of an ulp of the coordinates off their vertex, beyond TOL_LEN_REL
-        mag = float(np.abs(poly.coords).max())
-        if b3_len <= a1.length + TOL_LEN_REL * poly.diameter + 4.0 * np.finfo(float).eps * mag:
+        # it is longer by more than rounding, so no similarity flips the kind;
+        # far out, a1's zero drops land up to an ulp of |coords| off a vertex
+        slack = TOL_LEN_REL * poly.diameter + 4.0 * np.finfo(float).eps * np.abs(poly.coords).max()
+        if b3_len <= a1.length + slack:
             polylines = tuple((nodes[i], nodes[j]) for i, j in edges)
             barrier = Barrier(polylines, "connected")
             return _solution(poly, barrier, "a2", extras)
@@ -336,17 +330,16 @@ def algo_a4_candidates(poly: ConvexPolygon):
     c = np.array(rect.corners, dtype=float)
     x, y = rect.side_x, rect.side_y
     alt = x * y / math.hypot(x, y)
-    # the rectangle's own frame: far from the origin, corner differences
-    # divided by the sides are off by ulp(|corner|) / side
-    u, nrm = rect.axis_x, rect.axis_y
+    # the rectangle's own frame (corner differences over the sides are off
+    # by ulp(|corner|) / side far from the origin)
+    u, nrm = np.array(rect.axis_x), np.array(rect.axis_y)
     n = len(poly)
-    # first and last vertex, counterclockwise, of the runs touching the
-    # bottom, right, top and left sides: the ends of each run along its side
-    # (u, nrm, -u, -nrm), which stay apart even where rounding puts every
-    # vertex of a polygon thinner than it on both long sides
-    out_nrm = np.array([[-nrm[0], -nrm[1]], [u[0], u[1]], [nrm[0], nrm[1]], [-u[0], -u[1]]])
-    cand, near, _ = support_window(poly, out_nrm[:, 0], out_nrm[:, 1], poly.tol_geom)
-    along = poly.coords[cand, 0] * -out_nrm[:, 1:] + poly.coords[cand, 1] * out_nrm[:, :1]
+    # first and last vertex, counterclockwise, of the runs touching the bottom,
+    # right, top and left sides, by position along the side: rounding can put
+    # every vertex of a polygon thinner than it on both long sides
+    side = np.array([-nrm, u, nrm, -u])
+    cand, near, _ = support_window(poly, side[:, 0], side[:, 1], poly.tol_geom)
+    along = poly.coords[cand, 0] * -side[:, 1:] + poly.coords[cand, 1] * side[:, :1]
     rows = np.arange(4)
     first = cand[rows, np.where(near, along, np.inf).argmin(axis=1)].tolist()
     last = cand[rows, np.where(near, along, -np.inf).argmax(axis=1)].tolist()

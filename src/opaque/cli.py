@@ -26,7 +26,7 @@ from .barriers import (
     interior_single_arc,
 )
 from .fixtures import BadFixtureParameter, UnknownFixture, make_fixture, random_convex_polygon
-from .geometry import ConvexPolygon, PolygonError, signed_area2, validate_polygon
+from .geometry import ConvexPolygon, PolygonError, read_points, signed_area2, validate_polygon
 from .verify import is_opaque
 
 METHODS = {
@@ -86,8 +86,7 @@ def barrier_document(sol: BarrierSolution) -> dict:
 def read_polygon(path: str, auto_orient: bool = False) -> ConvexPolygon:
     with open(path) as fh:
         doc = json.load(fh)
-    verts = doc["vertices"]
-    pts = [(float(x), float(y)) for x, y in verts]
+    pts = read_points(doc["vertices"], "vertices", PolygonError)
     if auto_orient and signed_area2(pts) < 0.0:
         pts = pts[::-1]
     return validate_polygon(pts)

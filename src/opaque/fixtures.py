@@ -144,7 +144,7 @@ def _reuleaux_polygon(m: int, shave: float) -> ConvexPolygon:
     if shave > 0.0:
         arr = _clip(arr, np.array([1.0, 0.0]), shave / 2.0)
         arr = _clip(arr, np.array([-1.0, 0.0]), -(1.0 - shave / 2.0))
-    return validate_polygon([tuple(q) for q in arr])
+    return validate_polygon(arr)
 
 
 def _clip(pts: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
@@ -197,7 +197,7 @@ def random_convex_polygon(n: int, rng: np.random.Generator) -> ConvexPolygon:
         cr, sr = math.cos(rot), math.sin(rot)
         pts = np.column_stack([xs * cr - ys * sr, xs * sr + ys * cr]) * scale
         try:
-            return validate_polygon([tuple(p) for p in pts])
+            return validate_polygon(pts)
         except ValueError:
             continue
     raise RuntimeError("failed to generate a valid random polygon")

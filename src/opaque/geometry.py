@@ -9,9 +9,8 @@ Validation runs a fixed number of numpy calls: one read of the
 coordinates, one closed copy of them for the edges, turns and signed area,
 and the edge-normal angles, which also reject a boundary that winds more
 than once.  The diameter is one ``extreme_index`` lookup over those angles.
-Coordinates enter the package only through ``read_points``; the
-constructions work on ``coords``, and the ``Point2`` tuple of vertices is
-built only when a caller reads it.
+Coordinates enter the package only through ``read_points``; the ``Point2``
+tuple of vertices is built only when a caller reads it.
 
 Conventions:
   * polygons are counterclockwise vertex cycles, strictly convex;
@@ -25,6 +24,7 @@ Tolerances scale with the polygon diameter so behavior is size invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -165,7 +165,6 @@ class ConvexPolygon:
         # and its neighbours are read without wrapping indices
         self._closed = _read_only(closed)
         self._coords = closed[:len(arr)]
-        self._vertices: tuple[Point2, ...] | None = None
         # the edge frame, computed once and shared read-only: edge i runs
         # from vertex i to vertex i + 1
         self.edge_lengths = _read_only(lengths)
@@ -191,12 +190,10 @@ class ConvexPolygon:
         """(n, 2) float array of vertices, counterclockwise."""
         return self._coords
 
-    @property
+    @functools.cached_property
     def vertices(self) -> tuple[Point2, ...]:
         """The vertices as ``Point2`` tuples, built on first use."""
-        if self._vertices is None:
-            self._vertices = tuple(map(Point2._make, self._coords.tolist()))
-        return self._vertices
+        return tuple(map(Point2._make, self._coords.tolist()))
 
     @property
     def diameter(self) -> float:
@@ -232,8 +229,8 @@ class ConvexPolygon:
 
 def read_points(points, what: str = "points", error: type[ValueError] = ValueError) -> np.ndarray:
     """``points``, a sequence of (x, y) pairs of numbers or an (m, 2)
-    array, as a new (m, 2) float array: the one way coordinates enter the
-    package.  Raises ``error`` for any other shape or for non-numbers."""
+    array, as a new read-only (m, 2) float array: the one way coordinates
+    enter the package.  Raises ``error`` for any other shape or non-numbers."""
     try:
         arr = np.array(points, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -242,7 +239,7 @@ def read_points(points, what: str = "points", error: type[ValueError] = ValueErr
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise error(f"{what} must be (x, y) pairs, got an array of shape {arr.shape}")
-    return arr
+    return _read_only(arr)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

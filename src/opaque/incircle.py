@@ -176,15 +176,12 @@ def tangent_triangle(poly: ConvexPolygon, circ: InscribedCircle) -> TangentTrian
             "no antipodal touching pair and no positively spanning triple")
     i, j, k = (touch[p] for p in pick)
     # every gap of a spanning triple exceeds 2 * TOL_ANG: no two lines are
-    # parallel.  Each line's offset is taken from a coordinate difference,
-    # relative to vertex 0: far from the origin the absolute offsets lose
-    # ulp(|offset|), which a thin triangle magnifies in its corners
-    v = poly.coords
-    corners = []
-    for a, b in ((i, j), (j, k), (k, i)):
-        ab = m[[a, b]]
-        q = v[0] + np.linalg.solve(ab, (ab * (v[[a, b]] - v[0])).sum(axis=1))
-        corners.append(Point2._make(q.tolist()))
+    # parallel.  Offsets relative to vertex 0, from coordinate differences:
+    # far out, absolute ones lose ulp(|offset|), which thin corners magnify
+    pairs, v = np.array([(i, j), (j, k), (k, i)]), poly.coords
+    rhs = (m[pairs] * (v[pairs] - v[0])).sum(axis=2)
+    q = v[0] + np.linalg.solve(m[pairs], rhs[..., None])[..., 0]
+    corners = list(map(Point2._make, q.tolist()))
     sides = sorted(map(math.dist, corners, corners[1:] + corners[:1]), reverse=True)
     return TangentTriangle(*corners, tuple(sides))
 

@@ -171,7 +171,8 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
     of the optimum).  Returns (nodes, edges, length, exact_flag); nodes
     start with the terminals, junction points follow.
     """
-    pts = list(map(Point2._make, read_points(points, "terminals").tolist()))
+    xy = read_points(points, "terminals")
+    pts = list(map(Point2._make, xy.tolist()))
     n = len(pts)
     if n < 2:
         raise ValueError("need at least 2 terminals")
@@ -185,7 +186,7 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
         return pts + [f], [(3, 0), (3, 1), (3, 2)], length, True
     if n == 4:
         return _steiner_four(pts)
-    return _steiner_heuristic(pts)
+    return _steiner_heuristic(pts, xy)
 
 
 def _steiner_four(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
@@ -260,8 +261,8 @@ def _wide_at_first(u, v, w) -> bool:
     return ax * bx + ay * by <= _COS_WIDE * math.hypot(ax, ay) * math.hypot(bx, by)
 
 
-def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
-    """MST improved by greedy Fermat-star merging.
+def _steiner_heuristic(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
+    """MST of the terminals ``pts`` (rows of ``xy``) improved by greedy Fermat-star merging.
 
     Each round takes the star (u; v, w) of two tree edges at u whose Fermat
     point shortens the tree most, and joins u, v and w to that point (or to
@@ -294,9 +295,8 @@ def _steiner_heuristic(pts) -> tuple[list[Point2], list[tuple[int, int]], float,
         one, so the gain is 0.0 and the star is never merged.
     """
     nodes = list(pts)
-    edges, _ = euclidean_mst(pts)
-    arr = np.array(pts, dtype=float)
-    diam = float(np.hypot(*(arr.max(axis=0) - arr.min(axis=0))))
+    edges, _ = euclidean_mst(xy)
+    diam = float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0))))
     min_gain = TOL_LEN_REL * diam
     adj: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
     for i, j in edges:
