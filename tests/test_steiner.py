@@ -250,10 +250,6 @@ class TestSteinerTree:
         with pytest.raises(ValueError, match=r"terminals must be \(x, y\) pairs"):
             steiner_tree(bad)
 
-    def test_terminals_as_array(self):
-        pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        assert steiner_tree(pts) == steiner_tree([tuple(p) for p in pts.tolist()])
-
     def test_four_points_vs_numeric(self):
         # exact 4-terminal answer matches free optimization of two junctions
         rng = np.random.default_rng(31)
