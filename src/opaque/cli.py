@@ -209,7 +209,9 @@ def cmd_verify(args) -> int:
             write_svg(args.svg, poly, barrier, ["opaque: yes"])
         return 0
     w = report.witness
-    print(f"opaque: no (witness direction theta={w.theta:.12g}, "
+    how = (f"hull gap {-report.min_slack:.6g}" if report.certificate == "hull"
+           else f"{report.directions_tested} directions tested")
+    print(f"opaque: no ({how}; witness direction theta={w.theta:.12g}, "
           f"offset {w.representative_offset:.12g}, uncovered "
           f"[{w.uncovered.lo:.12g}, {w.uncovered.hi:.12g}])")
     if args.svg:

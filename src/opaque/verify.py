@@ -10,25 +10,30 @@ to a single interval, the span of its vertices' projections.  Exact
 sharing is always sound, and no proximity merge is made: two polylines
 a hair apart stay two components, so a line through the gap is found.
 
-Hull certificate.  A line misses a connected set iff it misses the set's
-convex hull, and a line separating two hulls sees a projection gap no
-wider than their distance.  So when the component hulls form one
-connected touch graph, two hulls touching when their Euclidean distance
-is at most tol_cover, no direction has a gap wider than tol_cover between
-components, and the barrier B is opaque iff the polygon lies in hull(B).
-``is_opaque`` first builds hull(B) and checks that every polygon vertex is
-within tol_cover of it in Euclidean distance; only then does it build one
-hull per component (a point and a segment are hulls too) and search the
-touch graph.  When both hold it returns opaque with no direction tested.
-Both tests merge the edge-normal angles of two convex polygons and find
-each arc's two supporting vertices with the kernel's ``extreme_index``
-(``_support_gap``), in O((h + k) log(h + k)) time and O(h + k) memory for
-h and k vertices; a pair of hulls never needs an h x k array.
+Hull certificate.  A line that misses hull(B) misses the barrier B, so B
+is not opaque when a polygon vertex lies more than tol_cover outside
+hull(B).  ``is_opaque`` first builds hull(B) (a segment when the barrier
+is collinear) and finds the largest Euclidean distance of a polygon vertex
+outside it, and a unit direction u where h_P(u) - h_B(u) attains it, h
+being the support functions.  When that gap exceeds tol_cover the line
+perpendicular to u midway between the barrier's and the polygon's
+extreme projections is the witness, and no direction is scanned.
+Otherwise every vertex is within tol_cover of hull(B).  A line misses a
+connected set iff it misses the set's convex hull, and a line separating
+two hulls sees a projection gap no wider than their distance.  So when
+the component hulls also form one connected touch graph, two hulls
+touching when their Euclidean distance is at most tol_cover, no direction
+has a gap wider than tol_cover between components and B is opaque, again
+with no direction tested.  Both tests merge the edge-normal angles of two
+convex polygons and find each arc's two supporting vertices with the
+kernel's ``extreme_index`` (``_support_gap``), in O((h + k) log(h + k))
+time and O(h + k) memory for h and k vertices; a pair of hulls never
+needs an h x k array.
 
-Direction scan.  Otherwise (hulls that do not touch, a hull with no
-interior, or a vertex outside the band), coverage is combinatorially
-constant between consecutive "critical" directions (lines through pairs
-of barrier vertices or polygon vertices), so testing all criticals plus
+Direction scan.  Otherwise (hull(B) holds the polygon but the component
+hulls do not touch), coverage is combinatorially constant between
+consecutive "critical" directions (lines through pairs of distinct
+barrier vertices or polygon vertices), so testing all criticals plus
 every gap midpoint decides opaqueness exactly, and the widest uncovered
 gap is the witness.
 """
@@ -60,13 +65,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """``certificate`` says what decided: "hull" (the component hulls form
-    one connected touch graph and the polygon lies within tol_cover of
-    the barrier's hull; no direction is tested) or "directions" (the
-    critical-direction scan).  For a hull certificate ``min_slack`` is
-    the smallest depth of a polygon vertex inside hull(B), minus its
-    distance for a vertex outside, so it is <= 0 when some vertex lies in
-    the tolerance band; otherwise None."""
+    """``certificate`` says what decided: "hull" (no direction is tested:
+    either a polygon vertex lies more than tol_cover outside the barrier's
+    hull, so the barrier is not opaque, or the polygon lies within
+    tol_cover of that hull and the component hulls form one connected
+    touch graph, so it is) or "directions" (the critical-direction scan).
+    For a hull certificate ``min_slack`` is the smallest depth of a
+    polygon vertex inside hull(B), minus its distance for a vertex
+    outside: below -tol_cover for a non-opaque verdict, and <= 0 for an
+    opaque one when some vertex lies in the tolerance band; otherwise
+    None."""
 
     opaque: bool
     witness: Witness | None
@@ -153,8 +161,9 @@ def _sweep(plo: np.ndarray, phi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 def critical_directions(poly: ConvexPolygon, barrier: Barrier) -> list[float]:
     """Directions in [0, pi) of lines through every pair of distinct points
-    from the barrier's vertices and the polygon's vertices."""
-    pts = np.concatenate([poly.coords, barrier.all_points()])
+    from the barrier's vertices and the polygon's vertices; a barrier
+    vertex shared by several polylines enters once."""
+    pts = np.concatenate([poly.coords, _component_points(barrier)[0]])
     n = len(pts)
     ii, jj = np.triu_indices(n, k=1)
     d = pts[jj] - pts[ii]
@@ -225,11 +234,11 @@ def _hull_frame(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _support_gap(x: np.ndarray, nx: np.ndarray, y: np.ndarray, ny: np.ndarray,
-                 tol: float, turn: float = 0.0) -> float:
+                 turn: float = 0.0) -> tuple[float, float]:
     """Maximum over unit directions u of g(u) = (x(u + turn) - y(u)) . u,
     where x(w) and y(w) are the vertices of the convex polygons ``x`` and
-    ``y`` (unwrapped normal angles ``nx``, ``ny``) extreme in direction w;
-    any value above tol once one is found.
+    ``y`` (unwrapped normal angles ``nx``, ``ny``) extreme in direction w,
+    and the angle of a direction u that attains it.
 
     With turn 0, g(u) = h_X(u) - h_Y(u) for the support functions h, and
     its maximum is the largest distance of a vertex of X outside Y.  With
@@ -238,37 +247,40 @@ def _support_gap(x: np.ndarray, nx: np.ndarray, y: np.ndarray, ny: np.ndarray,
     they are disjoint (<= 0 when they meet).  Between consecutive
     breakpoints (the angles of ny and of nx - turn) both vertices stay
     fixed and g = (p - q) . u, a sinusoid whose peak |p - q| lies at the
-    direction of p - q.  So the maximum is over the merged breakpoints and
-    the peaks inside their arcs, in O((h + k) log(h + k)) time and
-    O(h + k) memory for h and k vertices.
+    direction of p - q.  So the maximum is at an arc start or at a peak
+    inside its arc, found in O((h + k) log(h + k)) time and O(h + k)
+    memory for h and k vertices.
     """
     start = np.sort(np.mod(np.concatenate([nx - turn, ny]), TWO_PI))   # arc starts
     stop = np.concatenate([start[1:], [start[0] + TWO_PI]])
     mid = (start + stop) / 2.0
     d = x[extreme_index(nx, mid + turn) % len(nx)] - y[extreme_index(ny, mid) % len(ny)]
-    # g at every arc start first: a value above tol there settles it
-    # before the peaks are looked at
-    worst = float((d[:, 0] * np.cos(start) + d[:, 1] * np.sin(start)).max())
-    if worst > tol:
-        return worst
-    inside = np.mod(np.arctan2(d[:, 1], d[:, 0]) - start, TWO_PI) < stop - start
-    if inside.any():
-        worst = max(worst, float(np.hypot(d[inside, 0], d[inside, 1]).max()))
-    return worst
+    g = d[:, 0] * np.cos(start) + d[:, 1] * np.sin(start)
+    k = int(g.argmax())
+    peak = np.arctan2(d[:, 1], d[:, 0])
+    inside = np.flatnonzero(np.mod(peak - start, TWO_PI) < stop - start)
+    if inside.size:
+        r = np.hypot(d[inside, 0], d[inside, 1])
+        j = int(r.argmax())
+        if r[j] > g[k]:
+            return float(r[j]), float(peak[inside[j]])
+    return float(g[k]), float(start[k])
 
 
-def _hull_slack(poly: ConvexPolygon, pts: np.ndarray, tol: float) -> float | None:
-    """Smallest depth of a polygon vertex inside the convex hull of
-    ``pts`` (minus the distance of a vertex outside it) when every vertex
-    is within tol of the hull in Euclidean distance; None when one is
-    not, or when the hull has fewer than three vertices.  The distance is
-    Euclidean at corners (``_support_gap`` with turn 0), where per-face
-    offsets would give extra slack."""
-    hull, ha = _hull_frame(pts)
-    if len(hull) < 3:
-        return None
-    worst = _support_gap(poly.coords, poly.normal_angles, hull, ha, tol)
-    return None if worst > tol else 0.0 - worst       # 0.0 - worst: never -0.0
+def _gap_witness(poly: ConvexPolygon, hull: np.ndarray, u: float) -> Witness:
+    """The witness line of a polygon vertex outside ``hull``, the barrier's
+    hull, where h_P - h_B peaks in direction u: the line with normal u
+    through the middle of the interval between the barrier's and the
+    polygon's extreme projections onto u."""
+    theta = (u - 0.5 * math.pi) % math.pi
+    theta = 0.0 if theta >= math.pi else theta       # % can round up to pi
+    nrm = unit_normal(theta)
+    pproj, bproj = poly.coords @ nrm, hull @ nrm
+    if nrm[0] * math.cos(u) + nrm[1] * math.sin(u) > 0.0:       # nrm is u, not -u
+        gap = Interval(float(bproj.max()), float(pproj.max()))
+    else:
+        gap = Interval(float(pproj.min()), float(bproj.min()))
+    return Witness(theta, gap, (gap.lo + gap.hi) / 2.0)
 
 
 def _hulls_touch(pts: np.ndarray, ends: list[int], tol: float) -> bool:
@@ -284,7 +296,7 @@ def _hulls_touch(pts: np.ndarray, ends: list[int], tol: float) -> bool:
     todo, stack = list(range(1, len(ends))), [0]
     while stack and todo:
         c = stack.pop()
-        near = [j for j in todo if _support_gap(*frames[j], *frames[c], tol, math.pi) <= tol]
+        near = [j for j in todo if _support_gap(*frames[j], *frames[c], math.pi)[0] <= tol]
         stack += near
         todo = [j for j in todo if j not in near]
     return not todo
@@ -293,18 +305,25 @@ def _hulls_touch(pts: np.ndarray, ends: list[int], tol: float) -> bool:
 def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     """Decide opaqueness exactly.
 
-    A barrier whose component hulls form one connected touch graph (two
-    hulls touch when they are within tol_cover of each other) and whose
-    hull holds the polygon, every vertex within tol_cover in Euclidean
-    distance, is opaque by the hull certificate: no direction is tested,
-    and ``min_slack`` reports the smallest depth.  Every other barrier
-    goes to the direction scan, and every non-opaque verdict comes from it.
+    A polygon vertex more than tol_cover outside the barrier's hull (in
+    Euclidean distance) makes the barrier not opaque by the hull
+    certificate, with the support gap's witness.  A barrier whose hull
+    holds the polygon, every vertex within tol_cover, and whose component
+    hulls form one connected touch graph (two hulls touch when they are
+    within tol_cover of each other) is opaque by it.  Either way no
+    direction is tested, and ``min_slack`` reports the smallest depth of a
+    polygon vertex inside hull(B), negative for a vertex outside.  Only a
+    barrier whose hull holds the polygon but whose component hulls do not
+    touch goes to the direction scan.
     """
     pts, ends = _component_points(barrier)
     tol = tol_cover(poly)
-    slack = _hull_slack(poly, pts, tol)
-    if slack is not None and _hulls_touch(pts, ends, tol):
-        return VerificationReport(True, None, 0, "hull", slack)
+    hull, angles = _hull_frame(pts)
+    gap, u = _support_gap(poly.coords, poly.normal_angles, hull, angles)
+    if gap > tol:
+        return VerificationReport(False, _gap_witness(poly, hull, u), 0, "hull", -gap)
+    if _hulls_touch(pts, ends, tol):
+        return VerificationReport(True, None, 0, "hull", 0.0 - gap)   # never -0.0
     return _scan(poly, barrier, pts, ends)
 
 

@@ -163,6 +163,20 @@ class TestVerify:
         assert theta == pytest.approx(math.pi / 2, abs=1e-6)
         assert "<line" in svg.read_text()
 
+    def test_not_opaque_messages(self, capsys, square_file, tmp_path):
+        # the bottom side alone: the square's top vertices lie 1 outside its
+        # hull, so the support gap decides; the left and right sides: their
+        # hull is the square, their hulls do not touch, so the scan decides
+        docs = {"(hull gap 1; witness": [[[0, 0], [1, 0]]],
+                " directions tested; witness": [[[0, 0], [0, 1]], [[1, 0], [1, 1]]]}
+        for message, polylines in docs.items():
+            bfile = tmp_path / "b.json"
+            bfile.write_text(json.dumps({"polylines": polylines, "kind": "arbitrary"}))
+            code, out, _ = run(capsys, "verify", "--polygon", square_file,
+                               "--barrier", str(bfile))
+            assert code == 1
+            assert out.startswith("opaque: no (") and message in out
+
     def test_malformed_exit_2(self, capsys, square_file, tmp_path):
         bfile = tmp_path / "bad.json"
         # no polylines, polylines that are not a list, and a polygon

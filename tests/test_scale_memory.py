@@ -3,9 +3,10 @@
 The support oracle keeps every kernel scan at O(n) memory; an n x n
 projection matrix at n = 16384 alone takes 2.1 GB.  The verifier tests
 directions in fixed-size blocks, so its projection arrays stay bounded
-however many critical directions there are, and a barrier whose
-component hulls touch and whose hull holds the polygon needs no
-directions at all: the hull test is O(n + m).  The interior-arc DP
+however many critical directions there are, and a barrier with a
+polygon vertex outside its hull, or whose component hulls touch and
+whose hull holds the polygon, needs no directions at all: the hull test
+is O(n + m).  The interior-arc DP
 keeps two float rows, so its memory is the 2n^2 bytes of its choice
 tables.  Polygon set-up (validation, the diameter, the minimum width)
 keeps a few O(n) arrays: a closed copy of the vertices and one far vertex
@@ -13,6 +14,7 @@ window of three per edge.  Peaks are measured with tracemalloc and never
 timed: tracing slows Python loops many fold, so times are taken untraced.
 """
 
+import math
 import time
 import tracemalloc
 
@@ -33,7 +35,7 @@ from opaque import (
     validate_polygon,
 )
 
-from conftest import regular_ngon
+from conftest import assert_witness, regular_ngon, truncated
 
 MB = 1 << 20
 
@@ -124,3 +126,28 @@ def test_verifier_a4_large_polygon(shape):
     report = is_opaque(poly, barrier)
     assert report.opaque and report.certificate == "hull"
     assert peak_bytes(lambda p: is_opaque(p, barrier), poly) < 64 * MB
+
+
+def sampled_gap(poly, pts, count):
+    """Largest h_P(u) - h_B(u) over ``count`` evenly spaced directions u, h
+    being the support functions of the polygon and of the points ``pts``:
+    a lower bound on the polygon's largest distance outside their hull."""
+    best = -math.inf
+    for ang in np.array_split(np.linspace(0.0, 2.0 * math.pi, count, endpoint=False), count // 32):
+        u = np.vstack([np.cos(ang), np.sin(ang)])
+        best = max(best, float(((poly.coords @ u).max(axis=0) - (pts @ u).max(axis=0)).max()))
+    return best
+
+
+def test_verifier_rejects_truncated_a3_16384():
+    # a polygon vertex outside the barrier's hull rejects with no direction
+    # tested; the direction scan took 1.3-1.7 s on a truncated tree of 855
+    # vertices and grows as the cube of the vertex count
+    poly = regular_ngon(16384)
+    barrier = truncated(poly, algo_a3(poly).barrier)
+    t0 = time.perf_counter()
+    report = is_opaque(poly, barrier)
+    assert time.perf_counter() - t0 < 1.0
+    assert (report.opaque, report.certificate, report.directions_tested) == (False, "hull", 0)
+    assert_witness(poly, barrier, report, sampled_gap(poly, barrier.all_points(), 256))
+    assert peak_bytes(lambda p: is_opaque(p, barrier), poly) < 16 * MB

@@ -1,12 +1,15 @@
 """Connected components and the hull certificate.
 
-A line misses a connected set iff it misses the set's convex hull, and a
+A line that misses the barrier's hull misses the barrier, so a polygon
+vertex outside that hull must give the direction scan's non-opaque
+verdict, with a witness that holds on its own (``assert_witness``).  A
+line misses a connected set iff it misses the set's convex hull, and a
 line separating two hulls within tol_cover of each other sees a gap of at
-most tol_cover, so the hull certificate must give the direction scan's
-verdict on every barrier whose component hulls form one connected touch
-graph; and one component projects to a single interval, so scanning
-components must give the per-polyline scan's first gaps, bit for bit,
-when both read the same point projections.
+most tol_cover, so the hull certificate must give the scan's verdict on
+every barrier whose component hulls form one connected touch graph; and
+one component projects to a single interval, so scanning components must
+give the per-polyline scan's first gaps, bit for bit, when both read the
+same point projections.
 """
 
 import math
@@ -30,9 +33,9 @@ from opaque import (
     validate_polygon,
 )
 from opaque.barriers import _polylines_connected, components
-from opaque.verify import _component_points, _hull_slack, _hulls_touch, _scan, _sweep, tol_cover
+from opaque.verify import _component_points, _hulls_touch, _scan, _sweep, tol_cover
 
-from conftest import truncated
+from conftest import assert_witness, truncated
 
 BUILDERS = {"a1": algo_a1, "a3": algo_a3, "interior-arc": interior_single_arc,
             "interior-tree": interior_connected}
@@ -56,36 +59,50 @@ def without_leaf(barrier):
 @PROPERTY
 @given(**HULLS)
 def test_hull_certificate_matches_scan(seed, n):
+    # one component each: the hull certificate decides both ways
     poly = hull(seed, n)
-    tol = tol_cover(poly)
     for name, build in BUILDERS.items():
         barrier = build(poly).barrier
         cases = [(barrier, True)]
         cases.append((without_leaf(barrier), False) if name == "interior-tree"
                      else (truncated(poly, barrier), False))
         for case, want in cases:
-            pts, ends = _component_points(case)
-            assert len(ends) == 1, name
-            certified = _hull_slack(poly, pts, tol) is not None
-            scanned = _scan(poly, case, pts, ends)
-            assert certified == scanned.opaque == want, name
-            report = is_opaque(poly, case)
-            assert report.opaque == want
-            assert report.certificate == ("hull" if want else "directions")
-            assert report.directions_tested == (0 if want else scanned.directions_tested)
-            assert report.witness == scanned.witness
+            assert len(_component_points(case)[1]) == 1, name
+            report, scanned = assert_matches_scan(poly, case)
+            assert scanned.opaque == want, name
+            assert (report.certificate, report.directions_tested) == ("hull", 0)
 
 
-def assert_scan_decides(poly, barrier):
-    """is_opaque gives the scan's verdict, and its witness bit for bit."""
+def assert_matches_scan(poly, barrier):
+    """is_opaque gives the scan's verdict.  Where the scan decides, it
+    gives the scan's witness bit for bit; where the hull gap rejects, a
+    witness that passes ``assert_witness`` against the scan's."""
     pts, ends = _component_points(barrier)
     scanned = _scan(poly, barrier, pts, ends)
     report = is_opaque(poly, barrier)
     assert report.opaque == scanned.opaque
-    assert report.witness == scanned.witness
     if report.certificate == "directions":
+        assert report.witness == scanned.witness
         assert report.directions_tested == scanned.directions_tested
+    elif not report.opaque:
+        assert report.min_slack < -tol_cover(poly) and report.directions_tested == 0
+        assert_witness(poly, barrier, report, scanned.witness.uncovered.length)
     return report, scanned
+
+
+@PROPERTY
+@given(**HULLS, drop=st.integers(0, 2 ** 16))
+def test_hull_gap_witness(seed, n, drop):
+    # truncations and one dropped polyline, of one component or several
+    poly = hull(seed, n)
+    for build in (*BUILDERS.values(), algo_a4):
+        pls = build(poly).barrier.polylines
+        cases = [truncated(poly, Barrier(pls, "arbitrary"))]
+        if len(pls) > 1:
+            k = drop % len(pls)
+            cases.append(Barrier(pls[:k] + pls[k + 1:], "arbitrary"))
+        for case in cases:
+            assert_matches_scan(poly, case)
 
 
 @PROPERTY
@@ -95,13 +112,13 @@ def test_touching_certificate_matches_scan(seed, n):
     # whose foot lies on the chord closing the wrap-around
     poly = hull(seed, n)
     barrier = algo_a4(poly).barrier
-    report, _ = assert_scan_decides(poly, barrier)
+    report, _ = assert_matches_scan(poly, barrier)
     assert len(_component_points(barrier)[1]) == 2
     assert (report.opaque, report.certificate, report.directions_tested) == (True, "hull", 0)
     pls = barrier.polylines
     for case in [truncated(poly, barrier)] + [Barrier(pls[:k] + pls[k + 1:], "arbitrary")
                                               for k in range(len(pls))]:
-        assert_scan_decides(poly, case)
+        assert_matches_scan(poly, case)
 
 
 SIMILARITY = dict(HULLS, log_scale=st.floats(-6.0, 6.0), log_shift=st.floats(0.0, 9.0),
@@ -198,7 +215,7 @@ def split_bottom(gap):
 
 
 def test_touching_within_tolerance_is_certified(square):
-    report, _ = assert_scan_decides(square, Barrier(split_bottom(0.5 * tol_cover(square)),
+    report, _ = assert_matches_scan(square, Barrier(split_bottom(0.5 * tol_cover(square)),
                                                     "arbitrary"))
     assert (report.opaque, report.certificate, report.directions_tested) == (True, "hull", 0)
     assert report.min_slack == 0.0
@@ -206,7 +223,7 @@ def test_touching_within_tolerance_is_certified(square):
 
 def test_gap_wider_than_tolerance_is_scanned(square):
     gap = 2.0 * tol_cover(square)
-    report, _ = assert_scan_decides(square, Barrier(split_bottom(gap), "arbitrary"))
+    report, _ = assert_matches_scan(square, Barrier(split_bottom(gap), "arbitrary"))
     assert not report.opaque and report.certificate == "directions"
     # the witness line crosses y = 0 inside the hole
     w = report.witness
@@ -219,23 +236,24 @@ def test_one_point_component(square):
     left, right = split_bottom(1.5 * tol)
     # a point in the hole, within tol of both sides, joins the touch graph
     bridge = Barrier((left, right, ((0.5 + 0.75 * tol, 0),) * 2), "arbitrary")
-    report, scanned = assert_scan_decides(square, bridge)
+    report, scanned = assert_matches_scan(square, bridge)
     assert scanned.opaque and report.certificate == "hull"
     # a point inside the hull of the three sides touches it; a far one
     # does not, and the scan decides
     sides = ((0, 1), (0, 0), (1, 0), (1, 1))
     for point, certificate in (((0.5, 0.5), "hull"), ((5, 5), "directions")):
-        report, _ = assert_scan_decides(square, Barrier((sides, (point,) * 2), "arbitrary"))
+        report, _ = assert_matches_scan(square, Barrier((sides, (point,) * 2), "arbitrary"))
         assert report.opaque and report.certificate == certificate
 
 
 def test_collinear_segments(square):
     tol = tol_cover(square)
-    # two parallel collinear segments: no hull interior, so the scan
-    # decides, and the touch test takes segment hulls without raising
-    report, _ = assert_scan_decides(square, Barrier((((0, 0), (0.4, 0)), ((0.6, 0), (1, 0))),
+    # two collinear segments: their hull is a segment, which the square's
+    # top vertices lie outside, and the touch test takes segment hulls
+    # without raising
+    report, _ = assert_matches_scan(square, Barrier((((0, 0), (0.4, 0)), ((0.6, 0), (1, 0))),
                                                     "arbitrary"))
-    assert not report.opaque and report.certificate == "directions"
+    assert not report.opaque and report.certificate == "hull" and report.min_slack == -1.0
     for pls, touch in (((((0, 0), (0.6, 0)), ((0.4, 0), (1, 0))), True),
                        ((((0, 0), (0.5, 0)), ((0.5 + 2 * tol, 0), (1, 0))), False),
                        ((((0, 0), (1, 0)), ((0, 0.5 * tol), (1, 0.5 * tol))), True),
@@ -312,15 +330,20 @@ def test_hull_certificate_is_euclidean_at_corners(square):
             assert report.certificate == "hull" and report.directions_tested == 0
             assert report.min_slack == pytest.approx(-math.sqrt(2.0) * d, rel=1e-6)
         else:
-            assert report.certificate == "directions" and report.min_slack is None
+            assert report.certificate == "hull" and report.directions_tested == 0
+            assert report.min_slack == pytest.approx(-math.sqrt(2.0) * d, rel=1e-6)
             assert report.witness.uncovered.length == pytest.approx(math.sqrt(2.0) * d, rel=1e-6)
+            # the corner's line runs at 45 degrees
+            assert report.witness.theta == pytest.approx(0.75 * math.pi, abs=1e-6)
 
 
-def test_no_certificate_without_hull_interior(square):
-    # a segment through the square, and a polyline folded onto one line
+def test_hull_certificate_without_hull_interior(square):
+    # a segment through the square, and a polyline folded onto one line:
+    # a hull with no interior rejects by the support gap too
     for pl in (((0, 0), (1, 1)), ((0, 0), (1, 1), (0.5, 0.5))):
-        pts, _ = _component_points(Barrier((pl,), "single-arc"))
-        assert _hull_slack(square, pts, tol_cover(square)) is None
+        report, _ = assert_matches_scan(square, Barrier((pl,), "single-arc"))
+        assert not report.opaque and report.certificate == "hull"
+        assert report.min_slack == pytest.approx(-math.sqrt(0.5), abs=1e-15)
 
 
 def test_min_slack_is_smallest_depth(square):
