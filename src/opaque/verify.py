@@ -15,31 +15,36 @@ is not opaque when a polygon vertex lies more than tol_cover outside
 hull(B).  ``is_opaque`` first builds hull(B) (a segment when the barrier
 is collinear) and finds the largest Euclidean distance of a polygon vertex
 outside it, and a unit direction u where h_P(u) - h_B(u) attains it, h
-being the support functions.  When that gap exceeds tol_cover the line
-perpendicular to u midway between the barrier's and the polygon's
-extreme projections is the witness, and no direction is scanned.
-Otherwise every vertex is within tol_cover of hull(B).  A line misses a
-connected set iff it misses the set's convex hull, and a line separating
-two hulls sees a projection gap no wider than their distance.  So when
-the component hulls also form one connected touch graph, two hulls
-touching when their Euclidean distance is at most tol_cover, no direction
-has a gap wider than tol_cover between components and B is opaque, again
-with no direction tested.  Both tests merge the edge-normal angles of two
-convex polygons and find each arc's two supporting vertices with the
-kernel's ``extreme_index`` (``_support_gap``), in O((h + k) log(h + k))
-time and O(h + k) memory for h and k vertices; a pair of hulls never
-needs an h x k array.
+being the support functions.  No gap at an end of the polygon's
+projection is wider in any direction, and a gap between two components'
+projections is no wider than the distance of their hulls.  So when that
+support gap exceeds tol_cover and no two component hulls lie farther
+apart, the line perpendicular to u midway between the barrier's and the
+polygon's extreme projections is a witness at least as wide as any
+uncovered gap, and no direction is scanned.  When the polygon lies within
+tol_cover of hull(B), a line misses a connected set iff it misses the
+set's convex hull, and a line separating two hulls sees a projection gap
+no wider than their distance.  So when the component hulls also form one
+connected touch graph, two hulls touching when their Euclidean distance
+is at most tol_cover, no direction has a gap wider than tol_cover between
+components and B is opaque, again with no direction tested.  These tests
+merge the edge-normal angles of two convex polygons and find each arc's
+two supporting vertices with the kernel's ``extreme_index``
+(``_support_gap``), in O((h + k) log(h + k)) time and O(h + k) memory for
+h and k vertices; a pair of hulls never needs an h x k array.
 
 Direction scan.  Otherwise (hull(B) holds the polygon but the component
-hulls do not touch), coverage is combinatorially constant between
-consecutive "critical" directions (lines through pairs of distinct
-barrier vertices or polygon vertices), so testing all criticals plus
-every gap midpoint decides opaqueness exactly, and the widest uncovered
-gap is the witness.
+hulls do not touch, or two component hulls lie farther apart than a
+polygon vertex outside hull(B)), coverage is combinatorially constant
+between consecutive "critical" directions (lines through pairs of
+distinct barrier vertices or polygon vertices), so testing all criticals
+plus every gap midpoint decides opaqueness exactly, and the widest
+uncovered gap is the witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,9 +72,10 @@ class Witness:
 class VerificationReport:
     """``certificate`` says what decided: "hull" (no direction is tested:
     either a polygon vertex lies more than tol_cover outside the barrier's
-    hull, so the barrier is not opaque, or the polygon lies within
-    tol_cover of that hull and the component hulls form one connected
-    touch graph, so it is) or "directions" (the critical-direction scan).
+    hull, and farther than any two component hulls lie apart, so the
+    barrier is not opaque, or the polygon lies within tol_cover of that
+    hull and the component hulls form one connected touch graph, so it
+    is) or "directions" (the critical-direction scan).
     For a hull certificate ``min_slack`` is the smallest depth of a
     polygon vertex inside hull(B), minus its distance for a vertex
     outside: below -tol_cover for a non-opaque verdict, and <= 0 for an
@@ -283,6 +289,23 @@ def _gap_witness(poly: ConvexPolygon, hull: np.ndarray, u: float) -> Witness:
     return Witness(theta, gap, (gap.lo + gap.hi) / 2.0)
 
 
+def _component_frames(pts: np.ndarray, ends: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One ``_hull_frame`` per component; ``pts`` and ``ends`` are the
+    component rows of ``_component_points``."""
+    return [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _widest_split(pts: np.ndarray, ends: list[int]) -> float:
+    """Largest Euclidean distance between two component hulls (``_support_gap``
+    with turn pi), -inf for one component.  A gap between two components'
+    projections lies between the projections of their hulls, so in no
+    direction is it wider."""
+    if len(ends) == 1:
+        return -math.inf
+    pairs = itertools.combinations(_component_frames(pts, ends), 2)
+    return max(_support_gap(*a, *b, math.pi)[0] for a, b in pairs)
+
+
 def _hulls_touch(pts: np.ndarray, ends: list[int], tol: float) -> bool:
     """Do the components' hulls form one connected touch graph, two hulls
     touching when their Euclidean distance is at most tol?  ``pts`` and
@@ -292,7 +315,7 @@ def _hulls_touch(pts: np.ndarray, ends: list[int], tol: float) -> bool:
     vertices of two hulls; it stops when no reached hull is left to test."""
     if len(ends) == 1:
         return True
-    frames = [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+    frames = _component_frames(pts, ends)
     todo, stack = list(range(1, len(ends))), [0]
     while stack and todo:
         c = stack.pop()
@@ -307,22 +330,26 @@ def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
 
     A polygon vertex more than tol_cover outside the barrier's hull (in
     Euclidean distance) makes the barrier not opaque by the hull
-    certificate, with the support gap's witness.  A barrier whose hull
-    holds the polygon, every vertex within tol_cover, and whose component
-    hulls form one connected touch graph (two hulls touch when they are
-    within tol_cover of each other) is opaque by it.  Either way no
+    certificate, with the support gap's witness, when no two component
+    hulls lie farther apart than that vertex: then no uncovered gap in any
+    direction is wider than the witness.  A barrier whose hull holds the
+    polygon, every vertex within tol_cover, and whose component hulls form
+    one connected touch graph (two hulls touch when they are within
+    tol_cover of each other) is opaque by it.  Either way no
     direction is tested, and ``min_slack`` reports the smallest depth of a
-    polygon vertex inside hull(B), negative for a vertex outside.  Only a
-    barrier whose hull holds the polygon but whose component hulls do not
-    touch goes to the direction scan.
+    polygon vertex inside hull(B), negative for a vertex outside.  Every
+    other barrier goes to the direction scan: one whose hull holds the
+    polygon but whose component hulls do not touch, and one whose component
+    hulls lie farther apart than its polygon vertex outside hull(B).
     """
     pts, ends = _component_points(barrier)
     tol = tol_cover(poly)
     hull, angles = _hull_frame(pts)
     gap, u = _support_gap(poly.coords, poly.normal_angles, hull, angles)
     if gap > tol:
-        return VerificationReport(False, _gap_witness(poly, hull, u), 0, "hull", -gap)
-    if _hulls_touch(pts, ends, tol):
+        if gap >= _widest_split(pts, ends):
+            return VerificationReport(False, _gap_witness(poly, hull, u), 0, "hull", -gap)
+    elif _hulls_touch(pts, ends, tol):
         return VerificationReport(True, None, 0, "hull", 0.0 - gap)   # never -0.0
     return _scan(poly, barrier, pts, ends)
 

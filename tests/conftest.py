@@ -79,12 +79,10 @@ def truncated(poly, barrier):
 def assert_witness(poly, barrier, report, floor):
     """The report's witness, checked from the inputs alone: its line passes
     more than tol_cover / 2 from every barrier segment's projection and
-    from both ends of the polygon's projection, and its uncovered interval
-    holds the offset.  On a one-component barrier every uncovered gap lies
-    at an end of the polygon's projection, where the support gap is the
-    widest, so there the interval is at least ``floor`` wide (the direction
-    scan's widest gap, or any lower bound), up to the rounding of one gap.
-    Between components the scan can find a wider gap than any at an end."""
+    from both ends of the polygon's projection, its uncovered interval
+    holds the offset, and the interval is at least ``floor`` wide (the
+    direction scan's widest gap, or any lower bound), up to the rounding
+    of one gap."""
     w = report.witness
     tol = tol_cover(poly)
     nrm = unit_normal(w.theta)
@@ -94,6 +92,5 @@ def assert_witness(poly, barrier, report, floor):
     seg = np.array(barrier.segments(), dtype=float) @ nrm           # (segments, 2)
     assert not ((seg.min(axis=1) - tol / 2 <= off) & (off <= seg.max(axis=1) + tol / 2)).any()
     assert w.uncovered.lo < off < w.uncovered.hi
-    if len(barrier.components) == 1:
-        mag = float(np.abs(poly.coords).max()) + poly.diameter
-        assert w.uncovered.length >= floor - ROUNDING_COVER * np.finfo(float).eps * mag
+    mag = float(np.abs(poly.coords).max()) + poly.diameter
+    assert w.uncovered.length >= floor - ROUNDING_COVER * np.finfo(float).eps * mag

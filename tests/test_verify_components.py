@@ -246,6 +246,22 @@ def test_one_point_component(square):
         assert report.opaque and report.certificate == certificate
 
 
+def test_components_apart_wider_than_the_support_gap(square):
+    # the left side and a stub of the right side: the corner (1, 1) lies
+    # 0.9 / sqrt(1.81) outside their hull, but the vertical lines between
+    # the two components leave a gap of 1, so the scan decides; moved to
+    # 0.6 of the bottom, the two pieces lie closer than the corner does
+    stub = ((1, 0), (1, 0.1))
+    report, scanned = assert_matches_scan(square, Barrier((((0, 0), (0, 1)), stub), "arbitrary"))
+    assert not report.opaque and report.certificate == "directions"
+    assert report.witness.uncovered.length == pytest.approx(1.0)
+    pieces = Barrier((((0, 1), (0, 0), (0.2, 0)), ((0.8, 0), (1, 0))), "arbitrary")
+    report, scanned = assert_matches_scan(square, pieces)
+    assert not report.opaque and report.certificate == "hull"
+    assert report.min_slack == pytest.approx(-math.sqrt(0.5))
+    assert report.witness.uncovered.length >= scanned.witness.uncovered.length
+
+
 def test_collinear_segments(square):
     tol = tol_cover(square)
     # two collinear segments: their hull is a segment, which the square's
