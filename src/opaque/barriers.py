@@ -41,36 +41,73 @@ from .steiner import steiner_tree
 KINDS = ("single-arc", "connected", "arbitrary")
 
 
-@dataclass(frozen=True)
 class Barrier:
     """A finite set of polylines with a kind tag.
 
     kind "single-arc" requires exactly one polyline; kind "connected"
     requires the union of polylines to be a connected point set.
+
+    The points live in one read-only (m, 2) float array, polyline after
+    polyline (``all_points()``), and ``sizes`` holds each polyline's number
+    of points.  ``polylines``, tuples of ``Point2``, and ``segments()`` are
+    built from the array on first use; nothing else reads them.  Barriers
+    are read-only values: equal, and hash equal, when their kinds, sizes
+    and coordinates are (-0.0 equal to 0.0).
     """
 
-    polylines: tuple[tuple[Point2, ...], ...]
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown barrier kind {self.kind!r}")
-        if not self.polylines:
+    def __init__(self, polylines, kind: str):
+        """``polylines`` is a sequence of polylines, each a sequence of
+        (x, y) pairs or a (k, 2) array; the coordinates are copied."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown barrier kind {kind!r}")
+        if len(polylines) == 0:
             raise ValueError("barrier needs at least one polyline")
-        sizes = [len(pl) for pl in self.polylines]
-        xy = read_points([p for pl in self.polylines for p in pl], "barrier points")
-        object.__setattr__(self, "_xy", xy)
+        sizes = [len(pl) for pl in polylines]
+        self._setup(read_points([p for pl in polylines for p in pl], "barrier points"),
+                    sizes, kind)
+
+    @classmethod
+    def _of(cls, xy: np.ndarray, sizes: list[int], kind: str) -> Barrier:
+        """The barrier over ``xy``, a new (m, 2) float array it keeps
+        read-only without a copy, cut into polylines of ``sizes`` points."""
+        barrier = cls.__new__(cls)
+        xy = np.ascontiguousarray(xy, dtype=float)
+        xy.flags.writeable = False
+        barrier._setup(xy, sizes, kind)
+        return barrier
+
+    def _setup(self, xy: np.ndarray, sizes: list[int], kind: str) -> None:
+        vars(self).update(_xy=xy, sizes=tuple(sizes), kind=kind)
         if min(sizes) < 2:
             raise ValueError("each polyline needs at least 2 points")
-        pts = map(Point2._make, xy.tolist())
-        clean = tuple(tuple(itertools.islice(pts, k)) for k in sizes)
-        object.__setattr__(self, "polylines", clean)
         if self.length <= 0.0 or not math.isfinite(self.length):
             raise ValueError("barrier length must be finite and positive")
-        if self.kind == "single-arc" and len(clean) != 1:
+        if kind == "single-arc" and len(sizes) != 1:
             raise ValueError("single-arc barrier must be one polyline")
-        if self.kind == "connected" and not _polylines_connected(clean, self.components, xy):
+        if kind == "connected" and not _polylines_connected(xy, sizes, self.components):
             raise ValueError("polylines of a connected barrier must touch")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Barrier is read-only")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Barrier):
+            return NotImplemented
+        return (self.kind == other.kind and self.sizes == other.sizes
+                and bool(np.array_equal(self._xy, other._xy)))
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which compares equal
+        return hash((self.kind, self.sizes, (self._xy + 0.0).tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Barrier({self.polylines!r}, {self.kind!r})"
+
+    @functools.cached_property
+    def polylines(self) -> tuple[tuple[Point2, ...], ...]:
+        """The polylines as tuples of ``Point2``, built on first use."""
+        pts = map(Point2._make, self._xy.tolist())
+        return tuple(tuple(itertools.islice(pts, k)) for k in self.sizes)
 
     @functools.cached_property
     def length(self) -> float:
@@ -79,17 +116,58 @@ class Barrier:
         pairwise order, and every bit, stays that of ``polyline_length``."""
         d = np.diff(self._xy, axis=0)
         h = np.hypot(d[:, 0], d[:, 1])
+        if max(self.sizes) == 2:        # segments: every other hypot, summed in order
+            return sum(h[::2].tolist())
         out, s = [], 0
-        for pl in self.polylines:
-            e = s + len(pl) - 1
-            out.append(float(h[s]) if e == s + 1 else float(h[s:e].sum()))
+        for k in self.sizes:
+            e = s + k - 1
+            out.append(float(h[s]) if k == 2 else float(h[s:e].sum()))
             s = e + 1
         return sum(out)
 
     @functools.cached_property
+    def repeats(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``all_points()`` exactly equal to an earlier row
+        (-0.0 equal to 0.0), and for each an earlier row equal to it; two
+        empty arrays when all rows are distinct.  One stable sort of the
+        rows, read as complex numbers x + iy (ordered by x, then y), puts
+        equal rows next to each other in their original order: each run
+        starts with its point's first occurrence, and every later row of
+        the run is a repeat, paired with the row before it."""
+        z = self._xy.view(np.complex128).ravel()
+        order = np.argsort(z, kind="stable")
+        s = z[order]
+        later = np.flatnonzero(s[1:] == s[:-1]) + 1
+        return order[later], order[later - 1]
+
+    @functools.cached_property
     def components(self) -> list[list[int]]:
-        """``components`` of the polylines, grouped once per barrier."""
-        return components(self.polylines)
+        """Indices of the polylines in each connected component, in order
+        of each component's first polyline.  Two polylines are connected
+        when they share an exactly equal point, so every distinct point
+        belongs to exactly one component."""
+        k = len(self.sizes)
+        if k == 1:
+            return [[0]]
+        rows, earlier = self.repeats
+        if not rows.size:
+            return [[i] for i in range(k)]
+        ends = np.cumsum(self.sizes)
+        parent = list(range(k))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, j in zip(np.searchsorted(ends, rows, side="right").tolist(),
+                        np.searchsorted(ends, earlier, side="right").tolist()):
+            parent[find(i)] = find(j)
+        groups: dict[int, list[int]] = {}
+        for i in range(k):
+            groups.setdefault(find(i), []).append(i)
+        return list(groups.values())
 
     def segments(self) -> list[tuple[Point2, Point2]]:
         out = []
@@ -119,38 +197,17 @@ class UCurve:
     length: float
 
 
-def components(polylines) -> list[list[int]]:
-    """Indices of the polylines in each connected component, in order of
-    each component's first polyline.  Two polylines are connected when
-    they share an exactly equal vertex, so every distinct vertex belongs
-    to exactly one component."""
-    parent = list(range(len(polylines)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[Point2, int] = {}
-    for i, pl in enumerate(polylines):
-        for p in pl:
-            parent[find(i)] = find(owner.setdefault(p, i))
-    groups: dict[int, list[int]] = {}
-    for i in range(len(polylines)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _polylines_connected(polylines, groups, xy: np.ndarray) -> bool:
-    """Do the polylines form one connected set?  Exactly shared vertices
-    connect (``groups``, their ``components``); so do segments within
-    TOL_GEOM_REL times the extent of their points ``xy`` of each other,
-    crossings included."""
+def _polylines_connected(xy: np.ndarray, sizes, groups) -> bool:
+    """Do the polylines, runs of ``sizes`` rows of ``xy``, form one
+    connected set?  Exactly shared points connect (``groups``, their
+    ``Barrier.components``); so do segments within TOL_GEOM_REL times the
+    extent of the points of each other, crossings included."""
     todo = list(groups)
     if len(todo) == 1:
         return True
     tol = TOL_GEOM_REL * max(float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0)))), 1e-300)
+    ends = np.cumsum(sizes).tolist()
+    polylines = [xy[e - k:e] for k, e in zip(sizes, ends)]
     frontier = [todo.pop(0)]
     while frontier and todo:
         group = frontier.pop()
@@ -208,16 +265,17 @@ def _solution(poly, barrier, method, extras=None) -> BarrierSolution:
     return BarrierSolution(barrier, length, lb, method, length / lb, extras or {})
 
 
-def _path(start, chain: list, end, tol: float) -> list:
-    """``start``, the polygon vertices ``chain`` and ``end``, less a point
-    within ``tol`` of the one kept before it: validated vertices lie farther
-    apart than tol_geom, so only the two ends can collapse."""
-    pts = [start, *chain, end]
-    if math.dist(pts[0], pts[1]) <= tol:
-        del pts[1]
-    if math.dist(pts[-2], pts[-1]) <= tol:
-        del pts[-1]
-    return pts
+def _path(start: np.ndarray, chain: np.ndarray, end: np.ndarray, tol: float) -> np.ndarray:
+    """``start``, the polygon vertices ``chain`` and ``end`` as one new
+    array, less a point within ``tol`` of the one kept before it: validated
+    vertices lie farther apart than tol_geom, so only the two ends can
+    collapse."""
+    a, b = start.tolist(), end.tolist()
+    if math.dist(a, chain[0].tolist()) <= tol:
+        chain = chain[1:]
+    if math.dist(chain[-1].tolist() if len(chain) else a, b) <= tol:
+        return np.concatenate([start[None], chain])
+    return np.concatenate([start[None], chain, end[None]])
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +316,9 @@ def _shortest_u_curve(poly: ConvexPolygon, thetas) -> tuple[float, Barrier]:
     t = poly.coords @ nrm
     t0 = t.min()  # one rounding for the baseline and both drops
     chain = poly.coords[(i1 - np.arange((i1 - i2) % len(poly) + 1)) % len(poly)]
-    q1, q2 = (chain[[0, -1]] + (t0 - t[[i1, i2]])[:, None] * nrm).tolist()
-    return theta, Barrier((_path(q1, chain.tolist(), q2, poly.tol_geom),), "single-arc")
+    q1, q2 = chain[[0, -1]] + (t0 - t[[i1, i2]])[:, None] * nrm
+    path = _path(q1, chain, q2, poly.tol_geom)
+    return theta, Barrier._of(path, [len(path)], "single-arc")
 
 
 def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
@@ -287,7 +346,7 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
     tri = tangent_triangle(poly, circ)
     extras = {"b3_length": None}
     if tri is not None:
-        nodes, edges, b3_len, _ = steiner_tree(tri.corners)
+        nodes, edges, b3_len, _ = steiner_tree(tri.corners, array=True)
         extras["b3_length"] = b3_len
         # the two candidates tie on triangles with a vertex of 120 degrees or
         # more (both are the two sides at that vertex): take the tree unless
@@ -295,9 +354,7 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
         # far out, a1's zero drops land up to an ulp of |coords| off a vertex
         slack = TOL_LEN_REL * poly.diameter + 4.0 * np.finfo(float).eps * np.abs(poly.coords).max()
         if b3_len <= a1.length + slack:
-            polylines = tuple((nodes[i], nodes[j]) for i, j in edges)
-            barrier = Barrier(polylines, "connected")
-            return _solution(poly, barrier, "a2", extras)
+            return _solution(poly, _tree_barrier(nodes, edges), "a2", extras)
     return BarrierSolution(a1.barrier, a1.length, a1.lower_bound, "a2",
                            a1.ratio, extras)
 
@@ -324,7 +381,8 @@ def algo_a4_candidates(poly: ConvexPolygon):
     """The four A4 candidates.
 
     Returns (rect, altitude_length, candidates); each candidate is a pair
-    of polylines (wrap-around path, altitude segment) with its length.
+    of polylines (wrap-around path, altitude segment), (k, 2) arrays, with
+    its length.
     """
     rect = min_perimeter_rectangle(poly)
     c = np.array(rect.corners, dtype=float)
@@ -343,27 +401,27 @@ def algo_a4_candidates(poly: ConvexPolygon):
     rows = np.arange(4)
     first = cand[rows, np.where(near, along, np.inf).argmin(axis=1)].tolist()
     last = cand[rows, np.where(near, along, -np.inf).argmax(axis=1)].tolist()
-    corners = c.tolist()
     out = []
     for k in range(4):
         i = first[k]
         j = last[(k + 1) % 4]
-        chain = poly.coords[(i + np.arange((j - i) % n + 1)) % n].tolist()
-        path = _path(corners[k], chain, corners[(k + 2) % 4], poly.tol_geom)
+        m = (j - i) % n + 1
+        chain = poly.coords[i:i + m] if i + m <= n else poly.coords[(i + np.arange(m)) % n]
+        path = _path(c[k], chain, c[(k + 2) % 4], poly.tol_geom)
         # the altitude from the opposite corner to the diagonal start-end
-        start, opp = c[k], corners[(k + 3) % 4]
+        start, opp = c[k], c[(k + 3) % 4]
         ab = c[(k + 2) % 4] - start
-        foot = (start + float((c[(k + 3) % 4] - start) @ ab) / float(ab @ ab) * ab).tolist()
-        length = polyline_length(path) + math.dist(opp, foot)
-        out.append(((path, [opp, foot]), length))
+        foot = start + float((opp - start) @ ab) / float(ab @ ab) * ab
+        length = polyline_length(path) + math.dist(opp.tolist(), foot.tolist())
+        out.append(((path, np.array([opp, foot])), length))
     return rect, alt, out
 
 
 def algo_a4(poly: ConvexPolygon) -> BarrierSolution:
     """Shortest of the four rectangle wrap-around candidates (2 pieces)."""
     rect, alt, cands = algo_a4_candidates(poly)
-    polylines, _ = min(cands, key=lambda c: c[1])
-    barrier = Barrier(polylines, "arbitrary")
+    (path, altitude), _ = min(cands, key=lambda c: c[1])
+    barrier = Barrier._of(np.concatenate([path, altitude]), [len(path), 2], "arbitrary")
     return _solution(poly, barrier, "a4",
                      {"rectangle_perimeter": rect.perimeter, "altitude": alt})
 
@@ -448,7 +506,7 @@ def interior_single_arc(poly: ConvexPolygon) -> BarrierSolution:
     vertices, by the circular-run dynamic program."""
     lengths, choice_s, choice_t = hamiltonian_path_tables(poly)
     order = _reconstruct_path(choice_s, choice_t, int(np.argmin(lengths)))
-    barrier = Barrier((poly.coords[order].tolist(),), "single-arc")
+    barrier = Barrier._of(poly.coords[order], [len(order)], "single-arc")
     return _solution(poly, barrier, "interior-arc", {"order": order})
 
 
@@ -458,7 +516,12 @@ def interior_connected(poly: ConvexPolygon) -> BarrierSolution:
     Exact for up to 4 vertices; for larger polygons an MST-based heuristic
     whose length sits between (sqrt(3)/2) * MST and MST.
     """
-    nodes, edges, length, exact = steiner_tree(poly.coords)
-    polylines = tuple((nodes[i], nodes[j]) for i, j in edges)
-    barrier = Barrier(polylines, "connected")
-    return _solution(poly, barrier, "interior-tree", {"heuristic": not exact})
+    nodes, edges, length, exact = steiner_tree(poly.coords, array=True)
+    return _solution(poly, _tree_barrier(nodes, edges), "interior-tree", {"heuristic": not exact})
+
+
+def _tree_barrier(nodes: np.ndarray, edges: list[tuple[int, int]]) -> Barrier:
+    """The connected barrier of the tree's edges, one two-point polyline
+    each, from one take of the node array."""
+    xy = nodes[np.array(edges, dtype=np.intp)].reshape(-1, 2)
+    return Barrier._of(xy, [2] * len(edges), "connected")

@@ -8,6 +8,7 @@ Exit codes: 0 success (verify: opaque), 1 verify found a blocking gap,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -72,9 +73,17 @@ def polygon_document(poly: ConvexPolygon) -> dict:
     return {"vertices": poly.coords.tolist()}
 
 
+def _polyline_lists(barrier: Barrier) -> list[list[list[float]]]:
+    """The barrier's polylines as lists of [x, y] lists, sliced from one
+    ``tolist`` of its point array."""
+    pts = barrier.all_points().tolist()
+    ends = itertools.accumulate(barrier.sizes)
+    return [pts[e - k:e] for k, e in zip(barrier.sizes, ends)]
+
+
 def barrier_document(sol: BarrierSolution) -> dict:
     return {
-        "polylines": [[[p.x, p.y] for p in pl] for pl in sol.barrier.polylines],
+        "polylines": _polyline_lists(sol.barrier),
         "kind": sol.barrier.kind,
         "length": sol.length,
         "method": sol.method,
@@ -132,7 +141,7 @@ def write_svg(path: str, poly: ConvexPolygon, barrier: Barrier | None,
         f'fill="#dbe9f6" stroke="#5b8db8" stroke-width="{stroke / 2:.6g}"/>',
     ]
     if barrier is not None:
-        for pl in barrier.polylines:
+        for pl in _polyline_lists(barrier):
             lines.append(
                 f'<polyline points="{" ".join(pt(p) for p in pl)}" '
                 f'fill="none" stroke="#c0392b" stroke-width="{stroke:.6g}" '
@@ -282,8 +291,7 @@ def cmd_fixture(args) -> int:
         for barrier, length, label in fix.known_barriers:
             docs.append({
                 "label": label,
-                "polylines": [[[p.x, p.y] for p in pl]
-                              for pl in barrier.polylines],
+                "polylines": _polyline_lists(barrier),
                 "kind": barrier.kind,
                 "length": length,
             })

@@ -5,7 +5,7 @@ the union of the barrier's projections onto the direction's normal axis
 covers the polygon's projection.
 
 The verifier works on connected components: polylines that share an
-exactly equal vertex (``barriers.components``).  One component projects
+exactly equal vertex (``Barrier.components``).  One component projects
 to a single interval, the span of its vertices' projections.  Exact
 sharing is always sound, and no proximity merge is made: two polylines
 a hair apart stay two components, so a line through the gap is found.
@@ -105,12 +105,31 @@ def tol_cover(poly: ConvexPolygon) -> float:
 
 
 def _component_points(barrier: Barrier) -> tuple[np.ndarray, list[int]]:
-    """The barrier's distinct vertices grouped by connected component, and
-    the index where each component's run of rows ends."""
-    groups = [dict.fromkeys(p for i in group for p in barrier.polylines[i])
-              for group in barrier.components]
-    pts = np.array([p for group in groups for p in group], dtype=float)
-    return pts, np.cumsum([len(group) for group in groups]).tolist()
+    """The barrier's distinct points grouped by connected component, each
+    group in order of first occurrence, and the index where each
+    component's run of rows ends: at most one take of ``all_points()``.
+    Equal points lie in one component, so a point's first row there is its
+    first row in the barrier (``Barrier.repeats``)."""
+    xy, sizes, groups = barrier.all_points(), barrier.sizes, barrier.components
+    repeated = barrier.repeats[0]
+    rows = np.delete(np.arange(len(xy)), repeated) if repeated.size else None
+    if len(groups) == 1:
+        pts = xy if rows is None else xy[rows]
+        return pts, [len(pts)]
+    ends = np.cumsum(sizes)
+    if [i for group in groups for i in group] == list(range(len(sizes))):
+        # each component a run of consecutive polylines: rows stay in order
+        last = ends[[group[-1] for group in groups]]
+        if rows is None:
+            return xy, last.tolist()
+        return xy[rows], np.searchsorted(rows, last).tolist()
+    if rows is None:
+        rows = np.arange(len(xy))
+    label = np.empty(len(sizes), dtype=np.intp)
+    for c, group in enumerate(groups):
+        label[group] = c
+    comp = label[np.searchsorted(ends, rows, side="right")]
+    return xy[rows[np.argsort(comp, kind="stable")]], np.cumsum(np.bincount(comp)).tolist()
 
 
 def projections_cover(poly: ConvexPolygon, barrier: Barrier, theta: float

@@ -100,6 +100,53 @@ class TestBarrierType:
         with pytest.raises(ValueError, match="each polyline needs at least 2 points"):
             Barrier((((0, 0), (1, 0)), ((1, 1),)), "arbitrary")
 
+    def test_value_semantics(self):
+        # tuples, Point2s, lists and arrays give one value; -0.0 equals 0.0
+        arc, tail = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], [(2.0, 2.0), (3.0, 2.0)]
+        base = Barrier((tuple(arc), tuple(tail)), "arbitrary")
+        array_input = np.array(arc)
+        forms = [
+            Barrier((tuple(Point2(*p) for p in arc), tuple(Point2(*p) for p in tail)), "arbitrary"),
+            Barrier([[list(p) for p in arc], [list(p) for p in tail]], "arbitrary"),
+            Barrier((array_input, np.array(tail)), "arbitrary"),
+            Barrier((((-0.0, 0.0), (1.0, -0.0), (1.0, 1.0)), tail), "arbitrary"),
+        ]
+        for barrier in forms:
+            assert barrier == base and hash(barrier) == hash(base)
+        assert len(set(forms)) == 1
+        # the kind and the cut into polylines are part of the value
+        assert Barrier((arc,), "single-arc") != Barrier((arc,), "arbitrary")
+        assert Barrier((arc[:2], arc[1:]), "arbitrary") != Barrier((arc,), "arbitrary")
+        assert base != tuple(base.polylines)
+        # array input is copied, and the points cannot be written
+        array_input[0] = (5.0, 5.0)
+        assert forms[2] == base
+        with pytest.raises(ValueError):
+            forms[2].all_points()[0, 0] = 5.0
+        # polylines are Point2 tuples, built on first use
+        assert "polylines" not in vars(forms[2])
+        assert forms[2].polylines == (tuple(map(Point2._make, arc)), tuple(map(Point2._make, tail)))
+        assert all(type(p) is Point2 for pl in forms[2].polylines for p in pl)
+        assert forms[2].sizes == (3, 2)
+        with pytest.raises(AttributeError):
+            forms[2].kind = "connected"
+
+    @pytest.mark.parametrize("form", ["tuples", "arrays"])
+    def test_every_check_fires(self, form):
+        as_form = (lambda pls: tuple(np.array(pl, dtype=float) for pl in pls)) if form == "arrays" \
+            else (lambda pls: pls)
+        seg = ((0, 0), (1, 0))
+        cases = [
+            ((seg,), "bogus", "unknown barrier kind"),
+            ((seg, ((1, 1),)), "arbitrary", "at least 2 points"),
+            ((((1, 1), (1, 1)),), "arbitrary", "finite and positive"),
+            ((seg, ((0, 1), (1, 1))), "single-arc", "must be one polyline"),
+            ((seg, ((0, 1), (1, 1))), "connected", "must touch"),
+        ]
+        for pls, kind, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Barrier(as_form(pls), kind)
+
 
 class TestHalfPerimeter:
     def test_square(self, square):

@@ -275,6 +275,37 @@ class TestFixtureCommand:
         assert err.startswith("bad parameter") and "m must be a positive integer" in err
 
 
+def per_point(barrier):
+    """The polylines as [x, y] lists read from each Point2's x and y."""
+    return [[[p.x, p.y] for p in pl] for pl in barrier.polylines]
+
+
+def test_barrier_json_matches_per_point_form(capsys):
+    # the documents slice one tolist of the point array by polyline; the
+    # JSON must be byte for byte the one read point by point
+    from opaque.cli import METHODS, _json_value, barrier_document
+    poly = random_convex_polygon(11, np.random.default_rng(4))
+    for name, fn in sorted(METHODS.items()):
+        sol = fn(poly)
+        doc = barrier_document(sol)
+        assert _json_value(doc) == _json_value(dict(doc, polylines=per_point(sol.barrier))), name
+    signed = opaque.Barrier((((-0.0, 1.0), (0.5, -0.0)), ((0.5, 2.0), (1.0, 2.0), (1.0, 3.0))),
+                            "arbitrary")
+    sol = opaque.BarrierSolution(signed, signed.length, 1.0, "a1", signed.length)
+    assert '[[-0, 1], [0.5, -0]]' in _json_value(barrier_document(sol))
+    assert barrier_document(sol)["polylines"] == per_point(signed)
+
+    code, out, _ = run(capsys, "fixture", "--name", "unit-square", "--emit", "barriers")
+    assert code == 0
+    fix = opaque.make_fixture("unit-square")
+    want = {"name": fix.name,
+            "half_perimeter": opaque.half_perimeter_lower_bound(fix.polygon),
+            "barriers": [{"label": label, "polylines": per_point(b), "kind": b.kind,
+                          "length": length} for b, length, label in fix.known_barriers],
+            "constants": fix.known_constants}
+    assert out == _json_value(want) + "\n"
+
+
 def test_import_loads_no_scipy():
     # every CLI call pays the package import, and scipy's took about 0.5 s
     src = str(Path(opaque.__file__).resolve().parents[1])

@@ -128,6 +128,27 @@ def test_verifier_a4_large_polygon(shape):
     assert peak_bytes(lambda p: is_opaque(p, barrier), poly) < 64 * MB
 
 
+def test_a1_and_verify_16384_read_only_the_array():
+    # the U-curve goes from the scan to the verdict as one (m, 2) array:
+    # no Point2 polylines are built.  Measured on a 2-vCPU host: 34-58 ms
+    # and a 2.69 MB peak (a1's own scan; 3.2 MB when every barrier built
+    # its Point2 tuples)
+    poly = regular_ngon(16384)
+    poly.diameter
+
+    def a1_then_verify(p):
+        barrier = algo_a1(p).barrier
+        return barrier, is_opaque(p, barrier)
+
+    a1_then_verify(poly)
+    t0 = time.perf_counter()
+    barrier, report = a1_then_verify(poly)
+    assert time.perf_counter() - t0 < 0.25
+    assert report.opaque and report.certificate == "hull"
+    assert "polylines" not in vars(barrier)
+    assert peak_bytes(a1_then_verify, poly) < 3 * MB
+
+
 def sampled_gap(poly, pts, count):
     """Largest h_P(u) - h_B(u) over ``count`` evenly spaced directions u, h
     being the support functions of the polygon and of the points ``pts``:

@@ -32,7 +32,6 @@ from opaque import (
     random_convex_polygon,
     validate_polygon,
 )
-from opaque.barriers import _polylines_connected, components
 from opaque.verify import _component_points, _hulls_touch, _scan, _sweep, tol_cover
 
 from conftest import assert_witness, truncated
@@ -320,16 +319,17 @@ def test_component_gaps_match_per_polyline(seed, n):
 def test_components_share_exact_vertices():
     a, b, c, d = Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)
     pls = ((a, b), (c, d), (b, c), (d, Point2(0, 0.5)), (Point2(2, 2), Point2(3, 3)))
-    assert components(pls) == [[0, 1, 2, 3], [4]]
+    assert Barrier(pls, "arbitrary").components == [[0, 1, 2, 3], [4]]
     # a crossing, or a gap under the proximity tolerance, joins for the
     # connected kind's validation, never for the verifier
     cross = ((a, c), (b, d))
     near = ((a, b), (Point2(1 + 1e-12, 0), c))
     for pls in (cross, near):
-        assert len(components(pls)) == 2
-        assert _polylines_connected(pls, components(pls), np.reshape(pls, (-1, 2)))
+        assert len(Barrier(pls, "arbitrary").components) == 2
+        assert Barrier(pls, "connected").components == [[0], [1]]
     far = ((a, b), (Point2(1 + 1e-6, 0), c))
-    assert not _polylines_connected(far, components(far), np.reshape(far, (-1, 2)))
+    with pytest.raises(ValueError, match="must touch"):
+        Barrier(far, "connected")
 
 
 def test_hull_certificate_is_euclidean_at_corners(square):
