@@ -116,8 +116,6 @@ class Barrier:
         pairwise order, and every bit, stays that of ``polyline_length``."""
         d = np.diff(self._xy, axis=0)
         h = np.hypot(d[:, 0], d[:, 1])
-        if max(self.sizes) == 2:        # segments: every other hypot, summed in order
-            return sum(h[::2].tolist())
         out, s = [], 0
         for k in self.sizes:
             e = s + k - 1
@@ -346,7 +344,7 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
     tri = tangent_triangle(poly, circ)
     extras = {"b3_length": None}
     if tri is not None:
-        nodes, edges, b3_len, _ = steiner_tree(tri.corners, array=True)
+        nodes, edges, b3_len, _ = steiner_tree(tri.corners)
         extras["b3_length"] = b3_len
         # the two candidates tie on triangles with a vertex of 120 degrees or
         # more (both are the two sides at that vertex): take the tree unless
@@ -354,7 +352,7 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
         # far out, a1's zero drops land up to an ulp of |coords| off a vertex
         slack = TOL_LEN_REL * poly.diameter + 4.0 * np.finfo(float).eps * np.abs(poly.coords).max()
         if b3_len <= a1.length + slack:
-            return _solution(poly, _tree_barrier(nodes, edges), "a2", extras)
+            return _solution(poly, _tree_barrier(tri.corners, nodes, edges), "a2", extras)
     return BarrierSolution(a1.barrier, a1.length, a1.lower_bound, "a2",
                            a1.ratio, extras)
 
@@ -516,12 +514,17 @@ def interior_connected(poly: ConvexPolygon) -> BarrierSolution:
     Exact for up to 4 vertices; for larger polygons an MST-based heuristic
     whose length sits between (sqrt(3)/2) * MST and MST.
     """
-    nodes, edges, length, exact = steiner_tree(poly.coords, array=True)
-    return _solution(poly, _tree_barrier(nodes, edges), "interior-tree", {"heuristic": not exact})
+    nodes, edges, length, exact = steiner_tree(poly.coords)
+    return _solution(poly, _tree_barrier(poly.coords, nodes, edges), "interior-tree",
+                     {"heuristic": not exact})
 
 
-def _tree_barrier(nodes: np.ndarray, edges: list[tuple[int, int]]) -> Barrier:
+def _tree_barrier(terminals, nodes: list[Point2], edges: list[tuple[int, int]]) -> Barrier:
     """The connected barrier of the tree's edges, one two-point polyline
-    each, from one take of the node array."""
-    xy = nodes[np.array(edges, dtype=np.intp)].reshape(-1, 2)
+    each, from one take of the node array.  The nodes start with the
+    terminals as the same floats, so only the junctions are read from the
+    ``Point2`` list."""
+    junctions = np.array(nodes[len(terminals):], dtype=float).reshape(-1, 2)
+    xy = np.concatenate([read_points(terminals), junctions])[np.array(edges, dtype=np.intp)]
+    xy = xy.reshape(-1, 2)
     return Barrier._of(xy, [2] * len(edges), "connected")

@@ -163,16 +163,13 @@ def euclidean_mst(points) -> tuple[list[tuple[int, int]], float]:
     return [(i, j) for i, j, _ in found], float(np.sum([w for _, _, w in found]))
 
 
-def steiner_tree(points, array: bool = False
-                 ) -> tuple[list[Point2] | np.ndarray, list[tuple[int, int]], float, bool]:
+def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
     """Steiner tree of the terminal set, (x, y) pairs or an (n, 2) array.
 
     Exact for up to 4 terminals; beyond that an MST improved by greedy
     Fermat-star merging (an upper bound within the Steiner-ratio sandwich
     of the optimum).  Returns (nodes, edges, length, exact_flag); nodes
-    start with the terminals, junction points follow.  The nodes are
-    ``Point2`` tuples, or with ``array`` one (N, 2) float array, read from
-    the terminals' coordinates and the junctions alone.
+    start with the terminals, junction points follow.
     """
     xy = read_points(points, "terminals")
     pts = list(map(Point2._make, xy.tolist()))
@@ -180,22 +177,16 @@ def steiner_tree(points, array: bool = False
     if n < 2:
         raise ValueError("need at least 2 terminals")
     if n == 2:
-        tree = pts, [(0, 1)], math.dist(pts[0], pts[1]), True
-    elif n == 3:
+        return pts, [(0, 1)], math.dist(pts[0], pts[1]), True
+    if n == 3:
         f, on = _fermat(*pts)
         length = sum(math.dist(f, q) for q in pts)
         if on is not None:
-            tree = pts, [(on, (on + 1) % 3), (on, (on + 2) % 3)], length, True
-        else:
-            tree = pts + [f], [(3, 0), (3, 1), (3, 2)], length, True
-    elif n == 4:
-        tree = _steiner_four(pts)
-    else:
-        tree = _steiner_heuristic(pts, xy)
-    if array:
-        nodes = np.concatenate([xy, np.array(tree[0][n:], dtype=float).reshape(-1, 2)])
-        return (nodes, *tree[1:])
-    return tree
+            return pts, [(on, (on + 1) % 3), (on, (on + 2) % 3)], length, True
+        return pts + [f], [(3, 0), (3, 1), (3, 2)], length, True
+    if n == 4:
+        return _steiner_four(pts)
+    return _steiner_heuristic(pts, xy)
 
 
 def _steiner_four(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:

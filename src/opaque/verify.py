@@ -114,6 +114,7 @@ def _component_points(barrier: Barrier) -> tuple[np.ndarray, list[int]]:
     repeated = barrier.repeats[0]
     rows = np.delete(np.arange(len(xy)), repeated) if repeated.size else None
     if len(groups) == 1:
+        # one component (a1, a3, interior-arc, the trees): no sort, one end
         pts = xy if rows is None else xy[rows]
         return pts, [len(pts)]
     ends = np.cumsum(sizes)
