@@ -27,7 +27,6 @@ from .geometry import (
     ConvexPolygon,
     Point2,
     canon_oriented_angle,
-    cross2,
     min_perimeter_rectangle,
     min_width,
     polyline_length,
@@ -195,61 +194,69 @@ class UCurve:
     length: float
 
 
+# segment pairs per block in _polylines_connected: its arrays stay near
+# PAIR_BLOCK * 16 bytes each however many segments the barrier has
+PAIR_BLOCK = 1 << 14
+
+
+def touch_search(k: int, near) -> bool:
+    """Do ``k`` pieces form one connected touch graph?  A search from piece
+    0 asks ``near(c, todo)`` for the pieces of the list ``todo``, those not
+    reached yet, that touch the reached piece c, as a list or set of
+    distinct pieces; it stops when no reached piece is left to ask about,
+    or none is left unreached."""
+    todo, stack = list(range(1, k)), [0]
+    while stack and todo:
+        found = near(stack.pop(), todo)
+        stack += found
+        todo = [j for j in todo if j not in found]
+    return not todo
+
+
 def _polylines_connected(xy: np.ndarray, sizes, groups) -> bool:
     """Do the polylines, runs of ``sizes`` rows of ``xy``, form one
     connected set?  Exactly shared points connect (``groups``, their
     ``Barrier.components``); so do segments within TOL_GEOM_REL times the
-    extent of the points of each other, crossings included."""
-    todo = list(groups)
-    if len(todo) == 1:
+    extent of the points of each other, crossings included
+    (``_segments_touch``).  Each reached group's segments are tested
+    against every unreached group's at once, PAIR_BLOCK pairs at a time."""
+    if len(groups) == 1:
         return True
     tol = TOL_GEOM_REL * max(float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0)))), 1e-300)
-    ends = np.cumsum(sizes).tolist()
-    polylines = [xy[e - k:e] for k, e in zip(sizes, ends)]
-    frontier = [todo.pop(0)]
-    while frontier and todo:
-        group = frontier.pop()
-        near = [other for other in todo
-                if any(_polyline_distance(polylines[i], polylines[j]) <= tol
-                       for i in group for j in other)]
-        todo = [other for other in todo if other not in near]
-        frontier += near
-    return not todo
+    label = np.empty(len(sizes), dtype=np.intp)
+    for c, group in enumerate(groups):
+        label[group] = c
+    owner = np.repeat(label, np.subtract(sizes, 1))              # each segment's group
+    z, last = xy.view(np.complex128).ravel(), np.cumsum(sizes)[:-1] - 1
+    a, b = np.delete(z[:-1], last), np.delete(z[1:], last)        # segment ends
+
+    def near(c, todo):
+        cols = np.flatnonzero(np.isin(owner, todo))
+        rows = np.flatnonzero(owner == c)
+        hit = np.zeros(len(cols), dtype=bool)
+        step = max(1, PAIR_BLOCK // len(cols))
+        for s in range(0, len(rows), step):
+            r = rows[s:s + step, None]
+            hit |= _segments_touch(a[r], b[r], a[cols], b[cols], tol).any(axis=0)
+        return set(owner[cols[hit]].tolist())
+
+    return touch_search(len(groups), near)
 
 
-def _polyline_distance(pa, pb) -> float:
-    best = math.inf
-    for a0, a1 in zip(pa[:-1], pa[1:]):
-        for b0, b1 in zip(pb[:-1], pb[1:]):
-            best = min(best, _seg_seg_distance(a0, a1, b0, b1))
-            if best == 0.0:
-                return 0.0
-    return best
-
-
-def _seg_seg_distance(a0, a1, b0, b1) -> float:
-    a0 = np.asarray(a0, float)
-    a1 = np.asarray(a1, float)
-    b0 = np.asarray(b0, float)
-    b1 = np.asarray(b1, float)
-    d1 = cross2(a1 - a0, b0 - a0)
-    d2 = cross2(a1 - a0, b1 - a0)
-    d3 = cross2(b1 - b0, a0 - b0)
-    d4 = cross2(b1 - b0, a1 - b0)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return 0.0
-    return min(_point_seg_distance(b0, a0, a1), _point_seg_distance(b1, a0, a1),
-               _point_seg_distance(a0, b0, b1), _point_seg_distance(a1, b0, b1))
-
-
-def _point_seg_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float((p - a) @ ab) / denom
-    t = max(0.0, min(1.0, t))
-    return float(np.hypot(*(p - (a + t * ab))))
+def _segments_touch(a0, a1, b0, b1, tol: float) -> np.ndarray:
+    """Do the segments a0 a1 and b0 b1, points x + iy in complex arrays
+    that broadcast, cross, or does an endpoint of one lie within tol of
+    the other?  For a point p and a segment q r, conj(r - q) (p - q) is
+    the dot product plus i times the cross product of r - q and p - q."""
+    near, side = False, []
+    for p, q, r in ((b0, a0, a1), (b1, a0, a1), (a0, b0, b1), (a1, b0, b1)):
+        e = r - q
+        w = e.conjugate() * (p - q)
+        ee = (e.conjugate() * e).real
+        t = np.divide(w.real, ee, out=np.zeros(w.shape), where=ee != 0.0)
+        near = near | (np.abs(p - (q + np.minimum(np.maximum(t, 0.0), 1.0) * e)) <= tol)
+        side.append(w.imag > 0)
+    return near | ((side[0] != side[1]) & (side[2] != side[3]))
 
 
 def half_perimeter_lower_bound(poly: ConvexPolygon) -> float:

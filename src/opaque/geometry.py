@@ -308,15 +308,18 @@ def _check_polygon(arr: np.ndarray):
     if np.any(close):
         i = int(np.nonzero(close)[0][0])
         raise DuplicateVertex(f"vertices {i} and {(i + 1) % n} coincide")
-    # non-consecutive duplicates would also break strict convexity, but give
-    # the sharper diagnostic
+    # non-consecutive duplicates: in x order a vertex can coincide with any
+    # later one under 2 tol_dup (rounding) further along x, not only with
+    # its neighbour (a needle rhombus's tips); offsets go from 1 up
     order = np.lexsort((arr[:, 1], arr[:, 0]))
     s = arr[order]
-    same = np.hypot(*(s[1:] - s[:-1]).T) <= tol_dup
-    if np.any(same):
-        k = int(np.nonzero(same)[0][0])
-        i, j = sorted((int(order[k]), int(order[k + 1])))
-        raise DuplicateVertex(f"vertices {i} and {j} coincide")
+    reach = np.searchsorted(s[:, 0], s[:, 0] + 2.0 * tol_dup, side="right") - np.arange(n)
+    for off in range(1, int(reach.max())):
+        same = np.hypot(*(s[off:] - s[:-off]).T) <= tol_dup
+        if np.any(same):
+            k = int(np.nonzero(same)[0][0])
+            i, j = sorted((int(order[k]), int(order[k + off])))
+            raise DuplicateVertex(f"vertices {i} and {j} coincide")
     cross = cross2(d[:-1], d[1:])
     tol_area = TOL_AREA_REL * span ** 2
     if _shoelace(closed[:-1]) < -tol_area:
@@ -416,8 +419,9 @@ def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
 def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
     """Minimum-perimeter enclosing rectangle (edge-flush enumeration).
 
-    One side is flush with a polygon edge; ties resolve to the smallest
-    canonical orientation angle (mod pi/2).
+    One side is flush with a polygon edge; among the perimeters within
+    TOL_GEOM_REL * diameter of the minimum, the smallest orientation angle
+    (mod pi/2) wins, as in ``min_width``.
     """
     v = poly.coords
     m, _ = poly.edge_normals_offsets()
@@ -425,17 +429,14 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
     # extents along each edge (s) and its inward normal (t): four supports
     top = support_window(poly, np.concatenate([ux, -ux, -uy, uy]),
                          np.concatenate([uy, -uy, ux, -ux]))[2].max(axis=1).reshape(4, -1)
-    pers = ((top[0] + top[1]) + (top[2] + top[3])).tolist()
-    tol = TOL_GEOM_REL * poly.diameter
-    best, best_ang, k = math.inf, 0.0, 0
-    for i, per in enumerate(pers):
-        # sequential rule: a clear win, or a near tie at a smaller angle
-        if per < best + tol:
-            ang = math.fmod(math.atan2(uy[i], ux[i]), math.pi / 2.0)
-            if ang < 0.0:
-                ang += math.pi / 2.0
-            if per < best - tol or ang < best_ang:
-                best, best_ang, k = per, ang, i
+    pers = (top[0] + top[1]) + (top[2] + top[3])
+    candidates = np.nonzero(pers <= pers.min() + TOL_GEOM_REL * poly.diameter)[0]
+    # the edge direction mod pi/2, unsnapped; argmin takes the first of
+    # equal angles
+    angs = np.fmod(np.fromiter(map(math.atan2, uy[candidates].tolist(), ux[candidates].tolist()),
+                               float, len(candidates)), math.pi / 2.0)
+    angs[angs < 0.0] += math.pi / 2.0
+    k = int(candidates[angs.argmin()])
     # corners from plain projections: far from the origin the oracle's sums
     # round differently, and corners off by that much can break opacity
     u, nvec = np.array([ux[k], uy[k]]), m[k]

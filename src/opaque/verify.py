@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import Barrier
+from .barriers import Barrier, touch_search
 from .geometry import (ConvexPolygon, Interval, TOL_ANG, TOL_LEN_REL, TWO_PI, extreme_index,
                        normal_angles, unit_normal)
 
@@ -309,40 +309,23 @@ def _gap_witness(poly: ConvexPolygon, hull: np.ndarray, u: float) -> Witness:
     return Witness(theta, gap, (gap.lo + gap.hi) / 2.0)
 
 
-def _component_frames(pts: np.ndarray, ends: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One ``_hull_frame`` per component; ``pts`` and ``ends`` are the
-    component rows of ``_component_points``."""
-    return [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+def _widest_split(frames: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Largest Euclidean distance between two component hulls, their
+    ``_hull_frame``s (``_support_gap`` with turn pi), -inf for one
+    component.  A gap between two components' projections lies between
+    the projections of their hulls, so in no direction is it wider."""
+    pairs = itertools.combinations(frames, 2)
+    return max((_support_gap(*a, *b, math.pi)[0] for a, b in pairs), default=-math.inf)
 
 
-def _widest_split(pts: np.ndarray, ends: list[int]) -> float:
-    """Largest Euclidean distance between two component hulls (``_support_gap``
-    with turn pi), -inf for one component.  A gap between two components'
-    projections lies between the projections of their hulls, so in no
-    direction is it wider."""
-    if len(ends) == 1:
-        return -math.inf
-    pairs = itertools.combinations(_component_frames(pts, ends), 2)
-    return max(_support_gap(*a, *b, math.pi)[0] for a, b in pairs)
-
-
-def _hulls_touch(pts: np.ndarray, ends: list[int], tol: float) -> bool:
-    """Do the components' hulls form one connected touch graph, two hulls
-    touching when their Euclidean distance is at most tol?  ``pts`` and
-    ``ends`` are the component rows of ``_component_points``.  A search
-    from the first component tests each reached hull against every
+def _hulls_touch(frames: list[tuple[np.ndarray, np.ndarray]], tol: float) -> bool:
+    """Do the component hulls, their ``_hull_frame``s, form one connected
+    touch graph, two hulls touching when their Euclidean distance is at
+    most tol?  ``touch_search`` tests each reached hull against every
     unreached one by ``_support_gap`` with turn pi, so no array pairs the
-    vertices of two hulls; it stops when no reached hull is left to test."""
-    if len(ends) == 1:
-        return True
-    frames = _component_frames(pts, ends)
-    todo, stack = list(range(1, len(ends))), [0]
-    while stack and todo:
-        c = stack.pop()
-        near = [j for j in todo if _support_gap(*frames[j], *frames[c], math.pi)[0] <= tol]
-        stack += near
-        todo = [j for j in todo if j not in near]
-    return not todo
+    vertices of two hulls."""
+    return touch_search(len(frames), lambda c, todo: [
+        j for j in todo if _support_gap(*frames[j], *frames[c], math.pi)[0] <= tol])
 
 
 def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
@@ -364,12 +347,15 @@ def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     """
     pts, ends = _component_points(barrier)
     tol = tol_cover(poly)
-    hull, angles = _hull_frame(pts)
+    frames = [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+    # the union's hull is the hull of the component hulls' vertices
+    hull, angles = frames[0] if len(frames) == 1 else _hull_frame(
+        np.concatenate([h for h, _ in frames]))
     gap, u = _support_gap(poly.coords, poly.normal_angles, hull, angles)
     if gap > tol:
-        if gap >= _widest_split(pts, ends):
+        if gap >= _widest_split(frames):
             return VerificationReport(False, _gap_witness(poly, hull, u), 0, "hull", -gap)
-    elif _hulls_touch(pts, ends, tol):
+    elif _hulls_touch(frames, tol):
         return VerificationReport(True, None, 0, "hull", 0.0 - gap)   # never -0.0
     return _scan(poly, barrier, pts, ends)
 

@@ -11,6 +11,7 @@ from opaque import (
     Segment,
     TooFewVertices,
     WrongOrientation,
+    algo_a3,
     min_perimeter_rectangle,
     min_width,
     perimeter,
@@ -61,6 +62,17 @@ class TestValidation:
     def test_nonconsecutive_duplicate(self):
         with pytest.raises(DuplicateVertex):
             validate_polygon([(0, 0), (1, 0), (1, 1), (0, 0.5), (1, 0)])
+
+    @pytest.mark.parametrize("d, dup", [(1e-9, True), (3e-9, False)])
+    def test_needle_tips_not_sort_neighbours(self, d, dup):
+        # span 2, so tol_dup = 2e-9: at d = 1e-9 the two tips coincide, but
+        # sorted by x, (0, -1) and (0, 1) lie between them
+        pts = [(-d / 2, 0), (0, -1), (d / 2, 0), (0, 1)]
+        if dup:
+            with pytest.raises(DuplicateVertex, match="vertices 0 and 2 coincide"):
+                validate_polygon(pts)
+        else:
+            assert algo_a3(validate_polygon(pts)).length == pytest.approx(2.0)
 
     def test_nonfinite(self):
         with pytest.raises(PolygonError):

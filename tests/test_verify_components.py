@@ -32,7 +32,7 @@ from opaque import (
     random_convex_polygon,
     validate_polygon,
 )
-from opaque.verify import _component_points, _hulls_touch, _scan, _sweep, tol_cover
+from opaque.verify import _component_points, _hull_frame, _hulls_touch, _scan, _sweep, tol_cover
 
 from conftest import assert_witness, truncated
 
@@ -273,7 +273,9 @@ def test_collinear_segments(square):
                        ((((0, 0), (0.5, 0)), ((0.5 + 2 * tol, 0), (1, 0))), False),
                        ((((0, 0), (1, 0)), ((0, 0.5 * tol), (1, 0.5 * tol))), True),
                        ((((0, 0), (1, 0)), ((0, 2 * tol), (1, 2 * tol))), False)):
-        assert _hulls_touch(*_component_points(Barrier(pls, "arbitrary")), tol) == touch
+        pts, ends = _component_points(Barrier(pls, "arbitrary"))
+        frames = [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+        assert _hulls_touch(frames, tol) == touch
 
 
 @pytest.mark.parametrize("name", ["a1", "a3", "interior-arc"])
