@@ -9,23 +9,18 @@ from .geometry import (
     OrientedRectangle,
     Point2,
     PolygonError,
-    Segment,
     Strip,
     TooFewVertices,
     WrongOrientation,
     min_perimeter_rectangle,
     min_width,
-    perimeter,
-    project,
     validate_polygon,
-    width_in_direction,
 )
 from .incircle import InscribedCircle, TangentTriangle, largest_inscribed_circle, tangent_triangle
 from .steiner import steiner_three_points
 from .barriers import (
     Barrier,
     BarrierSolution,
-    UCurve,
     algo_a1,
     algo_a2,
     algo_a3,

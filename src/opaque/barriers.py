@@ -187,13 +187,6 @@ class BarrierSolution:
     extras: dict = field(default_factory=dict, compare=False)
 
 
-@dataclass(frozen=True)
-class UCurve:
-    baseline: float          # oriented direction in [0, 2*pi)
-    polyline: tuple[Point2, ...]
-    length: float
-
-
 # segment pairs per block in _polylines_connected: its arrays stay near
 # PAIR_BLOCK * 16 bytes each however many segments the barrier has
 PAIR_BLOCK = 1 << 14
@@ -311,12 +304,14 @@ def _u_lengths(poly: ConvexPolygon, thetas):
     return i1, i2, t0, (tmin[0] - t0) + (tmin[1] - t0) + arc
 
 
-def _shortest_u_curve(poly: ConvexPolygon, thetas) -> tuple[float, Barrier]:
+def u_curve(poly: ConvexPolygon, baselines) -> tuple[float, Barrier]:
     """Baseline and single-arc barrier of the shortest U-curve over an array
-    of baselines, first on ties, built from the contacts its scoring found."""
-    i1, i2, _, lengths = _u_lengths(poly, thetas)
+    of oriented baselines in [0, 2*pi), first on ties: the boundary chain
+    opposite the baseline, which is tangent with the polygon on its left,
+    and the drops from its two contacts, the ones its scoring found."""
+    i1, i2, _, lengths = _u_lengths(poly, baselines)
     k = int(np.argmin(lengths))
-    theta, i1, i2 = float(thetas[k]), int(i1[k]), int(i2[k])
+    theta, i1, i2 = float(baselines[k]), int(i1[k]), int(i2[k])
     nrm = unit_normal(theta)
     t = poly.coords @ nrm
     t0 = t.min()  # one rounding for the baseline and both drops
@@ -326,21 +321,11 @@ def _shortest_u_curve(poly: ConvexPolygon, thetas) -> tuple[float, Barrier]:
     return theta, Barrier._of(path, [len(path)], "single-arc")
 
 
-def u_curve(poly: ConvexPolygon, baseline: float) -> UCurve:
-    """Single-arc barrier: drop, boundary chain opposite the baseline, drop.
-
-    ``baseline`` is an oriented direction in [0, 2*pi); the baseline line is
-    tangent to the polygon with the polygon on its left.
-    """
-    theta, barrier = _shortest_u_curve(poly, [canon_oriented_angle(baseline)])
-    return UCurve(theta, barrier.polylines[0], barrier.length)
-
-
 def algo_a1(poly: ConvexPolygon) -> BarrierSolution:
     """Shorter of the two U-curves of the minimum-width strip."""
     alpha_star, w, strip = min_width(poly)
     phi = strip.direction
-    theta, barrier = _shortest_u_curve(poly, [phi, canon_oriented_angle(phi + math.pi)])
+    theta, barrier = u_curve(poly, [phi, canon_oriented_angle(phi + math.pi)])
     return _solution(poly, barrier, "a1", {"width": w, "baseline": theta})
 
 
@@ -374,7 +359,7 @@ def algo_a3(poly: ConvexPolygon) -> BarrierSolution:
     e = np.roll(poly.coords, -1, axis=0) - poly.coords
     thetas = np.unique(canon_oriented_angle(
         np.arctan2(e[:, 1], e[:, 0])[:, None] + [0.0, math.pi / 2.0, -math.pi / 2.0]))
-    theta, barrier = _shortest_u_curve(poly, thetas)
+    theta, barrier = u_curve(poly, thetas)
     return _solution(poly, barrier, "a3", {"baseline": theta})
 
 

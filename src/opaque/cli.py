@@ -258,11 +258,15 @@ def cmd_bench(args) -> int:
         print(f"bad sizes range {args.sizes!r}; expected a..b", file=sys.stderr)
         return 2
     print("instance\tmethod\tlength\thalf_perimeter\tratio")
-    for name, poly in _bench_instances(args.family, sizes, args.seed):
-        for method in BENCH_METHODS:
-            sol = METHODS[method](poly)
-            print(f"{name}\t{method}\t{_fmt(sol.length)}\t"
-                  f"{_fmt(sol.lower_bound)}\t{_fmt(sol.ratio)}")
+    try:
+        for name, poly in _bench_instances(args.family, sizes, args.seed):
+            for method in BENCH_METHODS:
+                sol = METHODS[method](poly)
+                print(f"{name}\t{method}\t{_fmt(sol.length)}\t"
+                      f"{_fmt(sol.lower_bound)}\t{_fmt(sol.ratio)}")
+    except BadFixtureParameter as exc:
+        print(f"bad parameter: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

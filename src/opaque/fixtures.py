@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import Barrier
-from .geometry import ConvexPolygon, Point2, validate_polygon
+from .geometry import ConvexPolygon, Point2, TooFewVertices, validate_polygon
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -21,8 +21,8 @@ class UnknownFixture(KeyError):
 
 
 class BadFixtureParameter(ValueError):
-    """A parameter the named fixture does not take, or a vertex count
-    (n, m) that is not a positive integer."""
+    """A parameter the named fixture does not take, a vertex count (n, m)
+    that is not a positive integer, or a shave outside [0, 1)."""
 
 
 # the parameters each fixture takes; n and m are vertex counts
@@ -51,7 +51,8 @@ def make_fixture(name: str, **params) -> Fixture:
     Names: unit-square, equilateral, regular-ngon (n, r), pentagon-fig6,
     reuleaux-poly (m, shave), rectangle (a, b).  Raises UnknownFixture for
     another name and BadFixtureParameter for a parameter the fixture does
-    not take or a count that is not a positive integer.
+    not take, a count that is not a positive integer or a shave outside
+    [0, 1).
     """
     if name not in PARAMS:
         raise UnknownFixture(name)
@@ -63,6 +64,8 @@ def make_fixture(name: str, **params) -> Fixture:
         value = params[key]
         if not float(value).is_integer() or value < 1:
             raise BadFixtureParameter(f"{key} must be a positive integer, got {value!r}")
+    if not 0.0 <= float(params.get("shave", 0.0)) < 1.0:
+        raise BadFixtureParameter(f"shave must be in [0, 1), got {params['shave']!r}")
     if name == "unit-square":
         return _unit_square()
     if name == "equilateral":
@@ -178,6 +181,8 @@ def random_convex_polygon(n: int, rng: np.random.Generator) -> ConvexPolygon:
     bodies are exactly the ones where the strip algorithms' guarantees
     against the half-perimeter bound (rather than the optimum) degrade.
     """
+    if n < 3:
+        raise TooFewVertices(f"need at least 3 vertices, got {n}")
     for _ in range(100):
         angles = np.sort(rng.uniform(0.0, 2 * math.pi, n))
         keep = [0]

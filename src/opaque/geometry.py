@@ -95,23 +95,9 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def unit_vector(theta: float) -> np.ndarray:
-    return np.array([math.cos(theta), math.sin(theta)])
-
-
 def unit_normal(theta: float) -> np.ndarray:
     """Projection axis for direction theta: n(theta) = (-sin, cos)."""
     return np.array([-math.sin(theta), math.cos(theta)])
-
-
-@dataclass(frozen=True)
-class Segment:
-    a: Point2
-    b: Point2
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
 
 
 @dataclass(frozen=True)
@@ -349,18 +335,6 @@ def validate_polygon(points: Sequence[tuple[float, float]]) -> ConvexPolygon:
     return ConvexPolygon(points)
 
 
-def perimeter(poly: ConvexPolygon) -> float:
-    return poly.perimeter
-
-
-def width_in_direction(poly: ConvexPolygon, alpha: float) -> float:
-    """Extent of the polygon along direction alpha: the minimum width of an
-    enclosing strip whose bounding lines are orthogonal to alpha."""
-    u = unit_vector(alpha)
-    proj = poly.coords @ u
-    return float(proj.max() - proj.min())
-
-
 def support_window(poly: ConvexPolygon, ux, uy, eps: float = 0.0):
     """Support oracle: the vertices whose projection x*ux + y*uy is within
     eps of the largest, for each direction (ux[k], uy[k]).
@@ -446,21 +420,6 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
                     for a, b in (lo, (hi[0], lo[1]), hi, (lo[0], hi[1])))
     return OrientedRectangle(corners, hi[0] - lo[0], hi[1] - lo[1],
                              Point2._make(u.tolist()), Point2._make(nvec.tolist()))
-
-
-def project(obj, theta: float) -> Interval:
-    """Interval of dot products with n(theta) = (-sin, cos).
-
-    Accepts a ConvexPolygon, a Segment, or a sequence of points (polyline).
-    """
-    nrm = unit_normal(theta)
-    if isinstance(obj, ConvexPolygon):
-        proj = obj.coords @ nrm
-    elif isinstance(obj, Segment):
-        proj = np.array([obj.a, obj.b]) @ nrm
-    else:
-        proj = np.asarray(obj, dtype=float) @ nrm
-    return Interval(float(proj.min()), float(proj.max()))
 
 
 def polyline_length(points: Sequence[tuple[float, float]]) -> float:

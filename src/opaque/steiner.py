@@ -30,28 +30,16 @@ _DOT_BAND = 4.0 * sys.float_info.epsilon
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 # the heuristic's wide-angle screen fires at angles of at least 2*pi/3 plus
 # this margin, far more than the few ulps by which its float cosine and the
-# one `_fermat` tests can differ, so `_fermat` always agrees with it
+# one `steiner_three_points` tests can differ, so the two always agree
 _WIDE_MARGIN = 1e-6
 _COS_WIDE = math.cos(_TWO_THIRDS_PI + _WIDE_MARGIN)
 
 
-def steiner_three_points(a, b, c) -> tuple[Point2 | None, float]:
-    """Steiner minimal tree of three points.
-
-    All angles below 2*pi/3: returns the Fermat-Torricelli star point and
-    the star length.  A wide angle degenerates the tree to the two edges at
-    that vertex, and collinear input to the span through the middle point;
-    both return no star point.
-    """
-    f, on = _fermat(a, b, c)
-    length = sum(math.dist(f, q) for q in (a, b, c))
-    return (f if on is None else None), length
-
-
-def _fermat(a, b, c) -> tuple[Point2, int | None]:
-    """Point minimizing total distance to three points, and the index of
-    the point it sits on (the vertex with angle >= 2*pi/3, or the middle of
-    collinear points), None when it is the Simpson-line intersection."""
+def steiner_three_points(a, b, c) -> tuple[Point2, int | None]:
+    """Fermat-Torricelli point of three points, the one minimizing the
+    total distance to them, and the index of the point it sits on (the
+    vertex with angle >= 2*pi/3, or the middle of collinear points), None
+    when it is the Simpson-line intersection, a star of three edges."""
     ax, ay = float(a[0]), float(a[1])
     bx, by = float(b[0]), float(b[1])
     cx, cy = float(c[0]), float(c[1])
@@ -86,7 +74,7 @@ def _fermat(a, b, c) -> tuple[Point2, int | None]:
 
 def _vertex_angle(p: np.ndarray, i: int) -> float:
     """The angle at p[i] as numpy computes it, the tie-breaker of
-    `_fermat`'s float test."""
+    `steiner_three_points`'s float test."""
     u = p[(i + 1) % 3] - p[i]
     v = p[(i + 2) % 3] - p[i]
     cosv = float(u @ v / (np.hypot(*u) * np.hypot(*v)))
@@ -179,7 +167,7 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
     if n == 2:
         return pts, [(0, 1)], math.dist(pts[0], pts[1]), True
     if n == 3:
-        f, on = _fermat(*pts)
+        f, on = steiner_three_points(*pts)
         length = sum(math.dist(f, q) for q in pts)
         if on is not None:
             return pts, [(on, (on + 1) % 3), (on, (on + 2) % 3)], length, True
@@ -206,8 +194,8 @@ def _steiner_four(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool
         c, d = pts[pair2[0]], pts[pair2[1]]
         e1 = _outward_apex(a, b, ((c[0] + d[0]) / 2.0, (c[1] + d[1]) / 2.0))
         e2 = _outward_apex(c, d, ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
-        s1, _ = _fermat(a, b, e2)
-        s2, _ = _fermat(c, d, e1)
+        s1, _ = steiner_three_points(a, b, e2)
+        s2, _ = steiner_three_points(c, d, e1)
         length = (math.dist(a, s1) + math.dist(b, s1) + math.dist(s1, s2)
                   + math.dist(c, s2) + math.dist(d, s2))
         if length < best_len:
@@ -275,15 +263,16 @@ def _steiner_heuristic(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], fl
     the top is the star a scan of nodes and their sorted neighbours would
     pick first among the largest gains.
 
-    Stars wide at u, screened by ``_wide_at_first``, skip ``_fermat`` and
-    record gain 0.0 at u.  On vertices in convex position nearly every star
-    of two MST edges is wide, so this saves most ``_fermat`` calls, and it
-    is exactly what ``_fermat`` and the gain formula give:
-      * the screened angle is at least 2*pi/3 + _WIDE_MARGIN.  ``_fermat``
-        tests index 0 first, by the same float cosine of the same correctly
-        rounded v - u and w - u, so its angle is a few ulps from the
-        screen's, far above the threshold plus _ANGLE_BAND, and it returns
-        0 without consulting ``_vertex_angle``;
+    Stars wide at u, screened by ``_wide_at_first``, skip
+    ``steiner_three_points`` and record gain 0.0 at u.  On vertices in
+    convex position nearly every star of two MST edges is wide, so this
+    saves most ``steiner_three_points`` calls, and it is exactly what
+    ``steiner_three_points`` and the gain formula give:
+      * the screened angle is at least 2*pi/3 + _WIDE_MARGIN.
+        ``steiner_three_points`` tests index 0 first, by the same float
+        cosine of the same correctly rounded v - u and w - u, so its angle
+        is a few ulps from the screen's, far above the threshold plus
+        _ANGLE_BAND, and it returns 0 without consulting ``_vertex_angle``;
       * in the collinear branch the longest side's index is 0, because |vw|
         is strictly the longest side: with |uv| >= |uw|,
         |vw|^2 >= |uv|^2 + |uv| |uw|, so |vw| exceeds |uv| by about
@@ -315,7 +304,7 @@ def _steiner_heuristic(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], fl
                 merges[star] = (0.0, pu)
             else:
                 cur = math.dist(pu, pv) + math.dist(pu, pw)
-                center, _ = _fermat(pu, pv, pw)
+                center, _ = steiner_three_points(pu, pv, pw)
                 new = sum(math.dist(center, q) for q in (pu, pv, pw))
                 merges[star] = (cur - new, center)
         gain = merges[star][0]

@@ -133,25 +133,13 @@ def _component_points(barrier: Barrier) -> tuple[np.ndarray, list[int]]:
     return xy[rows[np.argsort(comp, kind="stable")]], np.cumsum(np.bincount(comp)).tolist()
 
 
-def projections_cover(poly: ConvexPolygon, barrier: Barrier, theta: float
-                      ) -> tuple[bool, Interval | None]:
-    """Does the union of the barrier's projections cover the polygon
-    projection?
-
-    Returns the first uncovered sub-interval when coverage fails.
-    """
-    lo, hi = _first_gaps(poly, *_component_points(barrier), np.array([theta]))
-    if math.isnan(lo[0]):
-        return True, None
-    return False, Interval(float(lo[0]), float(hi[0]))
-
-
-def _first_gaps(poly: ConvexPolygon, pts: np.ndarray, ends: list[int],
-                thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def projections_cover(poly: ConvexPolygon, pts: np.ndarray, ends: list[int],
+                      thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First uncovered sub-interval (lo, hi) of the polygon's projection
-    for each direction; NaN where the barrier covers it.  ``pts`` and
-    ``ends`` are the component rows of ``_component_points``; each
-    component projects to the interval between its rows' min and max."""
+    for each direction; NaN where the union of the barrier's projections
+    covers it.  ``pts`` and ``ends`` are the component rows of
+    ``_component_points``; each component projects to the interval
+    between its rows' min and max."""
     nrm = np.vstack([-np.sin(thetas), np.cos(thetas)])             # (2, D)
     pproj = poly.coords @ nrm                                       # (n, D)
     plo, phi = pproj.min(axis=0), pproj.max(axis=0)
@@ -373,7 +361,7 @@ def _scan(poly: ConvexPolygon, barrier: Barrier, pts: np.ndarray, ends: list[int
     thetas = np.sort(np.concatenate([crits, (crits[:-1] + crits[1:]) / 2.0, [wrap]]))
     best, best_width = None, 0.0
     for start in range(0, len(thetas), BLOCK):
-        lo, hi = _first_gaps(poly, pts, ends, thetas[start:start + BLOCK])
+        lo, hi = projections_cover(poly, pts, ends, thetas[start:start + BLOCK])
         width = np.fmax(hi - lo, 0.0)                               # NaN -> 0
         k = int(width.argmax())
         if width[k] > best_width:

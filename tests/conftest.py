@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from opaque import Barrier, random_convex_polygon, validate_polygon
-from opaque.geometry import unit_normal
-from opaque.verify import ROUNDING_COVER, tol_cover
+from opaque.geometry import Interval, unit_normal
+from opaque.verify import ROUNDING_COVER, _component_points, projections_cover, tol_cover
 
 RATIO_SEED = 12345
 RATIO_COUNT = 1000
@@ -56,6 +56,16 @@ def regular_ngon(n, r=1.0):
     return validate_polygon([
         (r * math.cos(2 * math.pi * k / n), r * math.sin(2 * math.pi * k / n))
         for k in range(n)])
+
+
+def cover_at(poly, barrier, theta):
+    """``projections_cover`` in the one direction theta: (True, None) when
+    the barrier's projections cover the polygon's, else (False, the first
+    uncovered interval)."""
+    lo, hi = projections_cover(poly, *_component_points(barrier), np.array([theta]))
+    if math.isnan(lo[0]):
+        return True, None
+    return False, Interval(float(lo[0]), float(hi[0]))
 
 
 def truncated(poly, barrier):

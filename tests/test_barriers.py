@@ -163,37 +163,44 @@ class TestHalfPerimeter:
 
 class TestUCurve:
     def test_square_bottom_baseline(self, square):
-        uc = u_curve(square, 0.0)
+        theta, uc = u_curve(square, [0.0])
+        assert theta == 0.0 and uc.kind == "single-arc"
         assert uc.length == pytest.approx(3.0, abs=1e-12)
         # left side up, across the top, right side down
-        assert [tuple(p) for p in uc.polyline] == pytest.approx(
+        assert [tuple(p) for p in uc.polylines[0]] == pytest.approx(
             [(0, 0), (0, 1), (1, 1), (1, 0)])
 
     def test_rectangle_long_side(self):
         poly = validate_polygon([(0, 0), (3, 0), (3, 1), (0, 1)])
-        uc = u_curve(poly, 0.0)
+        _, uc = u_curve(poly, [0.0])
         assert uc.length == pytest.approx(5.0, abs=1e-12)  # d + 2w
+
+    def test_shortest_first_on_ties(self):
+        # baselines pi/2 (7 = w + 2d), 0 and pi (both 5 = d + 2w)
+        poly = validate_polygon([(0, 0), (3, 0), (3, 1), (0, 1)])
+        theta, uc = u_curve(poly, [math.pi / 2, 0.0, math.pi])
+        assert theta == 0.0
+        assert uc.length == pytest.approx(5.0, abs=1e-12)
 
     def test_equilateral_base(self):
         poly = validate_polygon([(0, 0), (1, 0), (0.5, SQRT3 / 2)])
-        uc = u_curve(poly, 0.0)
+        _, uc = u_curve(poly, [0.0])
         # drops are zero; the curve is the two upper sides
         assert uc.length == pytest.approx(2.0, abs=1e-12)
 
     def test_endpoints_on_baseline(self, medium_polys):
         for poly in medium_polys[:8]:
             for theta in (0.0, 0.7, 2.0, 4.5):
-                uc = u_curve(poly, theta)
+                _, uc = u_curve(poly, [theta])
                 nrm = np.array([-math.sin(theta), math.cos(theta)])
                 base = float((poly.coords @ nrm).min())
-                ends = np.array([uc.polyline[0], uc.polyline[-1]])
+                ends = uc.all_points()[[0, -1]]
                 assert np.allclose(ends @ nrm, base, atol=1e-9 * poly.diameter)
 
     def test_is_barrier(self, square):
         for theta in (0.0, 0.3, math.pi / 2, 3.6):
-            uc = u_curve(square, theta)
-            barrier = Barrier((uc.polyline,), "single-arc")
-            assert is_opaque(square, barrier).opaque
+            _, uc = u_curve(square, [theta])
+            assert is_opaque(square, uc).opaque
 
 
 class TestAlgoA1:

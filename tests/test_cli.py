@@ -244,6 +244,21 @@ class TestBench:
         assert "unknown family" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fixture", "--name", "reuleaux-poly", "--param", "shave=3.0"),
+    ("bench", "--family", "ngon", "--sizes", "0..3"),
+    ("bench", "--family", "reuleaux", "--sizes", "0..1"),
+    ("bench", "--family", "random-hull", "--sizes", "0..1"),
+    ("bench", "--family", "random-hull", "--sizes", "1..3"),
+], ids=["shave", "ngon-0", "reuleaux-0", "random-hull-0", "random-hull-1"])
+def test_bad_parameter_exit_2(capsys, argv):
+    # malformed input, not "verify found a gap" (exit 1): one line, no
+    # traceback, and no row of the bench table
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out.count("\n") <= 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestFixtureCommand:
     def test_polygon_emit(self, capsys):
         code, out, _ = run(capsys, "fixture", "--name", "unit-square")

@@ -1,9 +1,9 @@
 """The three-point Fermat routine against its numpy formulation.
 
-`steiner._fermat` and `steiner._outward_apex` run on plain floats.  The
-reference below is the routine as first written, on numpy arrays.  Every
-triple must give the same point and index, compared with `==`, or raise
-the same exception type.  Most float operations are the same IEEE
+`steiner.steiner_three_points` and `steiner._outward_apex` run on plain
+floats.  The reference below is the routine as first written, on numpy
+arrays.  Every triple must give the same point and index, compared with
+`==`, or raise the same exception type.  Most float operations are the same IEEE
 operations in the same order; the exceptions are the angle at a vertex
 and the sign of the apex's dot product, where numpy's 2-vector dot fuses
 a multiply-add.  The float routine defers to numpy within `_ANGLE_BAND`
@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from opaque.geometry import TOL_ANG, TOL_AREA_REL, Point2, cross2
-from opaque.steiner import _fermat, _outward_apex
+from opaque.steiner import _outward_apex, steiner_three_points
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 THRESHOLD = _TWO_THIRDS_PI - TOL_ANG
@@ -99,7 +99,7 @@ def outcome(f, *args):
 def assert_same(triple):
     for k in range(3):
         rot = triple[k:] + triple[:k]
-        assert outcome(_fermat, *rot) == outcome(ref_fermat, *rot), rot
+        assert outcome(steiner_three_points, *rot) == outcome(ref_fermat, *rot), rot
 
 
 def star(ox, oy, log_scale, phi, angle, log_short):

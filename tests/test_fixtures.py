@@ -5,16 +5,22 @@ import pytest
 
 from opaque import (
     BadFixtureParameter,
+    TooFewVertices,
     UnknownFixture,
     is_opaque,
     make_fixture,
     random_convex_polygon,
-    width_in_direction,
 )
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
+
+
+def width_in_direction(poly, alpha):
+    """Extent of the polygon's vertices along direction alpha."""
+    proj = poly.coords @ np.array([math.cos(alpha), math.sin(alpha)])
+    return float(proj.max() - proj.min())
 
 
 class TestUnitSquare:
@@ -71,10 +77,13 @@ class TestOtherFixtures:
             make_fixture("dodecahedron")
 
     def test_bad_parameters(self):
-        # names the fixture does not take, and counts that are not
-        # positive integers; an integral float count is a count
+        # names the fixture does not take, counts that are not positive
+        # integers and shaves outside [0, 1); an integral float count is a
+        # count
         for name, params in (("regular-ngon", {"bogus": 3}), ("unit-square", {"n": 4}),
-                             ("reuleaux-poly", {"m": 1.5}), ("regular-ngon", {"n": 0})):
+                             ("reuleaux-poly", {"m": 1.5}), ("regular-ngon", {"n": 0}),
+                             ("reuleaux-poly", {"shave": 1.0}),
+                             ("reuleaux-poly", {"shave": -0.1})):
             with pytest.raises(BadFixtureParameter):
                 make_fixture(name, **params)
         assert issubclass(BadFixtureParameter, ValueError)
@@ -112,6 +121,15 @@ class TestRandomGenerator:
         for n in (3, 4, 8, 32, 64):
             poly = random_convex_polygon(n, rng)
             assert 3 <= len(poly) <= n
+
+    def test_too_few_vertices(self):
+        # rejected before anything is drawn
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        for n in (0, 1, 2):
+            with pytest.raises(TooFewVertices):
+                random_convex_polygon(n, rng)
+        assert rng.bit_generator.state == state
 
     def test_varied_shapes(self):
         rng = np.random.default_rng(7)

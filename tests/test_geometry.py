@@ -8,23 +8,18 @@ from opaque import (
     DuplicateVertex,
     NotStrictlyConvex,
     Point2,
-    Segment,
     TooFewVertices,
     WrongOrientation,
     algo_a3,
     min_perimeter_rectangle,
     min_width,
-    perimeter,
-    project,
     random_convex_polygon,
     validate_polygon,
-    width_in_direction,
 )
 from opaque.geometry import PolygonError, polyline_length
 
 from conftest import regular_ngon
 
-SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 
@@ -137,7 +132,7 @@ class TestValidation:
 
 class TestBasics:
     def test_perimeter_square(self, square):
-        assert perimeter(square) == pytest.approx(4.0, abs=1e-12)
+        assert square.perimeter == pytest.approx(4.0, abs=1e-12)
 
     def test_diameter_matches_brute_force(self, medium_polys):
         for poly in medium_polys:
@@ -156,33 +151,6 @@ class TestBasics:
 
     def test_polyline_length(self):
         assert polyline_length([(0, 0), (1, 0), (1, 1)]) == pytest.approx(2.0)
-
-    def test_width_square_axis(self, square):
-        assert width_in_direction(square, 0.0) == pytest.approx(1.0)
-        assert width_in_direction(square, math.pi / 4) == pytest.approx(SQRT2)
-
-    def test_width_equals_projection_extent(self, medium_polys):
-        rng = np.random.default_rng(5)
-        for poly in medium_polys[:10]:
-            for alpha in rng.uniform(0, math.pi, 8):
-                u = np.array([math.cos(alpha), math.sin(alpha)])
-                proj = poly.coords @ u
-                assert width_in_direction(poly, alpha) == pytest.approx(
-                    float(proj.max() - proj.min()), abs=1e-12)
-
-    def test_projection_identity(self, medium_polys):
-        # projecting onto the normal axis of theta equals the width at
-        # direction theta + pi/2
-        poly = medium_polys[0]
-        for theta in (0.0, 0.3, 1.1, 2.8):
-            iv = project(poly, theta)
-            assert iv.length == pytest.approx(
-                width_in_direction(poly, theta + math.pi / 2), abs=1e-12)
-
-    def test_project_segment(self):
-        seg = Segment(Point2(0, 0), Point2(2, 0))
-        iv = project(seg, math.pi / 2)  # vertical line direction, x-axis offsets
-        assert (iv.lo, iv.hi) == pytest.approx((-2.0, 0.0))
 
 
 class TestMinWidth:

@@ -13,7 +13,6 @@ from opaque import interior_connected, random_convex_polygon, steiner, validate_
 from opaque.geometry import TOL_GEOM_REL, Point2
 from opaque.steiner import (
     _TWO_THIRDS_PI,
-    _fermat,
     _wide_at_first,
     euclidean_mst,
     steiner_three_points,
@@ -26,6 +25,13 @@ SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 
+def three_point_tree(*pts):
+    """The junction of the Steiner tree of three points, None when the
+    tree is two edges, and the tree's length."""
+    nodes, _, length, _ = steiner_tree(pts)
+    return (nodes[3] if len(nodes) == 4 else None), length
+
+
 def star_length(center, pts):
     c = np.asarray(center, dtype=float)
     return float(sum(np.linalg.norm(c - p) for p in np.asarray(pts, float)))
@@ -34,14 +40,14 @@ def star_length(center, pts):
 class TestThreePoints:
     def test_equilateral(self):
         pts = [(0, 0), (1, 0), (0.5, SQRT3 / 2)]
-        s, length = steiner_three_points(*pts)
+        s, length = three_point_tree(*pts)
         assert s is not None
         assert tuple(s) == pytest.approx((0.5, SQRT3 / 6), abs=1e-9)
         assert length == pytest.approx(SQRT3, abs=1e-9)
 
     def test_right_isoceles(self):
         # legs 1, all angles < 120 degrees, so a true three-edge star
-        s, length = steiner_three_points((0, 0), (1, 0), (0, 1))
+        s, length = three_point_tree((0, 0), (1, 0), (0, 1))
         assert s is not None
         assert length == pytest.approx(math.sqrt(2 + SQRT3), abs=1e-9)
         # 120-degree meeting angles at the junction
@@ -56,12 +62,12 @@ class TestThreePoints:
         # angle at the origin is 150 degrees: tree is the two incident sides
         b = (1, 0)
         c = (math.cos(math.radians(150)), math.sin(math.radians(150)))
-        s, length = steiner_three_points((0, 0), b, c)
+        s, length = three_point_tree((0, 0), b, c)
         assert s is None
         assert length == pytest.approx(2.0, abs=1e-12)
 
     def test_collinear(self):
-        s, length = steiner_three_points((0, 0), (1, 0), (3, 0))
+        s, length = three_point_tree((0, 0), (1, 0), (3, 0))
         assert s is None
         assert length == pytest.approx(3.0, abs=1e-12)
 
@@ -69,7 +75,7 @@ class TestThreePoints:
         rng = np.random.default_rng(21)
         for _ in range(40):
             pts = rng.uniform(-1, 1, (3, 2))
-            _, length = steiner_three_points(*map(tuple, pts))
+            _, length = three_point_tree(*map(tuple, pts))
             res = minimize(star_length, pts.mean(axis=0), args=(pts,),
                            method="Nelder-Mead",
                            options={"xatol": 1e-12, "fatol": 1e-13})
@@ -80,7 +86,7 @@ class TestThreePoints:
         rng = np.random.default_rng(22)
         for _ in range(60):
             pts = rng.uniform(-1, 1, (3, 2))
-            _, length = steiner_three_points(*map(tuple, pts))
+            _, length = three_point_tree(*map(tuple, pts))
             d = [float(np.linalg.norm(pts[i] - pts[j]))
                  for i, j in ((0, 1), (1, 2), (0, 2))]
             two_shortest = sum(sorted(d)[:2])
@@ -94,15 +100,15 @@ class TestFermatPoint:
         rng = np.random.default_rng(23)
         for _ in range(30):
             pts = rng.uniform(-1, 1, (3, 2))
-            f, _ = _fermat(*map(tuple, pts))
-            _, total = steiner_three_points(*map(tuple, pts))
+            f, _ = steiner_three_points(*map(tuple, pts))
+            _, total = three_point_tree(*map(tuple, pts))
             assert total == pytest.approx(star_length(f, pts), abs=1e-9)
             # no nearby point does better
             for delta in np.array([[1e-5, 0], [-1e-5, 0], [0, 1e-5], [0, -1e-5]]):
                 assert star_length(np.array(f) + delta, pts) >= total - 1e-12
 
     def test_wide_angle_returns_vertex(self):
-        f, on = _fermat((0, 0), (10, 0.1), (-10, 0.1))
+        f, on = steiner_three_points((0, 0), (10, 0.1), (-10, 0.1))
         assert tuple(f) == pytest.approx((0.0, 0.0), abs=1e-12)
         assert on == 0
 
@@ -140,7 +146,7 @@ class TestWideScreen:
         assume(min(a, b) >= TOL_GEOM_REL * max(a, b, math.dist(v, w)))
         for p, q in ((v, w), (w, v)):
             if _wide_at_first(u, p, q):
-                center, on = _fermat(u, p, q)
+                center, on = steiner_three_points(u, p, q)
                 assert (center, on) == (Point2(*u), 0)
                 cur = math.dist(u, p) + math.dist(u, q)
                 new = sum(math.dist(center, k) for k in (u, p, q))

@@ -1,12 +1,12 @@
 """The star-merging heuristic against its uncached formulation.
 
 The reference below recomputes every candidate merge (u; v, w) with
-`_fermat` in every round and scans for the first largest gain.  The
-heuristic keeps each triple's gain and junction for the rest of the call,
-which is exact because nodes never move once appended, and takes the
-merge from a heap keyed (-gain, u, v, w), which picks the scan's star, so
-trees must be identical: the same nodes, edges, length and flag, compared
-with `==`.
+`steiner_three_points` in every round and scans for the first largest
+gain.  The heuristic keeps each triple's gain and junction for the rest of
+the call, which is exact because nodes never move once appended, and
+takes the merge from a heap keyed (-gain, u, v, w), which picks the scan's
+star, so trees must be identical: the same nodes, edges, length and flag,
+compared with `==`.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 
 from opaque import random_convex_polygon, steiner
 from opaque.geometry import TOL_GEOM_REL, TOL_LEN_REL, Point2
-from opaque.steiner import _fermat, euclidean_mst, steiner_tree
+from opaque.steiner import euclidean_mst, steiner_three_points, steiner_tree
 
 from conftest import regular_ngon
 
@@ -39,7 +39,7 @@ def ref_heuristic(pts):
                 for bi in range(ai + 1, len(nbrs)):
                     v, w = nbrs[ai], nbrs[bi]
                     cur = math.dist(nodes[u], nodes[v]) + math.dist(nodes[u], nodes[w])
-                    center, _ = _fermat(nodes[u], nodes[v], nodes[w])
+                    center, _ = steiner_three_points(nodes[u], nodes[v], nodes[w])
                     new = sum(math.dist(center, nodes[k]) for k in (u, v, w))
                     gain = cur - new
                     if gain > TOL_LEN_REL * diam and (best is None or gain > best[0]):
@@ -159,7 +159,7 @@ def test_snapped_centers_match_reference(monkeypatch):
     # from a toward the Fermat point, and otherwise the shortest star among
     # the Fermat point and such points next to b and c.  A snap onto u leaves the tree as it was, so both
     # sides repeat that merge; a snap onto v swaps edge u-w for v-w.
-    real = _fermat
+    real = steiner_three_points
 
     def snapping(a, b, c):
         center, on = real(a, b, c)
@@ -179,7 +179,7 @@ def test_snapped_centers_match_reference(monkeypatch):
     def path(points):
         return [(i, i + 1) for i in range(len(points) - 1)], 0.0
 
-    for name, fake in (("_fermat", snapping), ("euclidean_mst", path)):
+    for name, fake in (("steiner_three_points", snapping), ("euclidean_mst", path)):
         monkeypatch.setattr(steiner, name, fake)
         monkeypatch.setitem(globals(), name, fake)
     rng = np.random.default_rng(5)
@@ -196,9 +196,9 @@ def test_each_merge_computed_once(monkeypatch, points):
 
     def recording(a, b, c):
         calls.append((tuple(a), tuple(b), tuple(c)))
-        return _fermat(a, b, c)
+        return steiner_three_points(a, b, c)
 
-    monkeypatch.setattr(steiner, "_fermat", recording)
+    monkeypatch.setattr(steiner, "steiner_three_points", recording)
     steiner_tree(points)
     assert calls
     assert len(calls) == len(set(calls))

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from opaque.steiner import _drop_degenerate, _fermat, euclidean_mst, steiner_tree
+from opaque.steiner import _drop_degenerate, euclidean_mst, steiner_three_points, steiner_tree
 
 REL_LEN = 1e-12
 REL_PT = 1e-9
@@ -35,8 +35,8 @@ def ref_four_candidates(pts):
         s1 = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
         s2 = ((c[0] + d[0]) / 2.0, (c[1] + d[1]) / 2.0)
         for _ in range(20000):
-            n1, _ = _fermat(a, b, s2)
-            n2, _ = _fermat(c, d, n1)
+            n1, _ = steiner_three_points(a, b, s2)
+            n2, _ = steiner_three_points(c, d, n1)
             move = max(math.dist(n1, s1), math.dist(n2, s2))
             s1, s2 = n1, n2
             if move < 1e-12 * diam:

@@ -26,7 +26,7 @@ from opaque import (
 )
 from opaque.geometry import TOL_ANG, TOL_TOUCH_REL, TWO_PI, cross2
 from opaque.incircle import TangentTriangle, _antipodal_candidates
-from opaque.steiner import steiner_three_points
+from opaque.steiner import steiner_tree
 
 from conftest import regular_ngon
 
@@ -50,7 +50,7 @@ def ref_tangent_triangle(poly, circ):
         corners = _corner_points(m, poly.coords, triple)
         if corners is None:
             continue
-        _, length = steiner_three_points(*corners)
+        length = steiner_tree(corners)[2]
         if best is None or length < best[0]:
             best = (length, corners)
     if best is None:

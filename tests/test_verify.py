@@ -14,15 +14,14 @@ from opaque import (
     interior_single_arc,
     is_opaque,
     make_fixture,
-    projections_cover,
     random_convex_polygon,
     sampling_oracle,
     validate_polygon,
 )
 from opaque.geometry import PolygonError
-from opaque.verify import tol_cover
+from opaque.verify import _component_points, projections_cover, tol_cover
 
-from conftest import truncated
+from conftest import cover_at, truncated
 
 
 def boundary_barrier(poly):
@@ -42,25 +41,32 @@ class TestProjectionsCover:
     def test_boundary_always_covers(self, square):
         b = boundary_barrier(square)
         for theta in (0.0, 0.2, math.pi / 4, 1.9, 3.0):
-            covered, gap = projections_cover(square, b, theta)
+            covered, gap = cover_at(square, b, theta)
             assert covered and gap is None
 
     def test_bottom_side_only(self, square):
         b = Barrier(((Point2(0, 0), Point2(1, 0)),), "single-arc")
-        covered, gap = projections_cover(square, b, 0.0)
+        covered, gap = cover_at(square, b, 0.0)
         assert not covered
         assert gap.lo == pytest.approx(0.0, abs=1e-9)
         assert gap.hi == pytest.approx(1.0, abs=1e-9)
 
     def test_fixture_corner_star_diagonal_direction(self, square):
         barrier = make_fixture("unit-square").known_barriers[3][0]
-        covered, _ = projections_cover(square, barrier, math.pi / 4)
+        covered, _ = cover_at(square, barrier, math.pi / 4)
         assert covered
+
+    def test_directions_at_once(self, square):
+        # one row of first gaps per call, NaN where the direction is covered
+        b = Barrier(((Point2(0, 0), Point2(1, 0)),), "single-arc")
+        lo, hi = projections_cover(square, *_component_points(b), np.array([0.0, math.pi / 2]))
+        assert (lo[0], hi[0]) == pytest.approx((0.0, 1.0), abs=1e-9)
+        assert np.isnan(lo[1]) and np.isnan(hi[1])
 
     def test_two_pieces_with_gap(self, square):
         b = Barrier(((Point2(0, 0), Point2(1, 0)),
                      (Point2(0, 0.7), Point2(1, 0.7))), "arbitrary")
-        covered, gap = projections_cover(square, b, 0.0)
+        covered, gap = cover_at(square, b, 0.0)
         assert not covered
         assert (gap.lo, gap.hi) == pytest.approx((0.0, 0.7), abs=1e-9)
 

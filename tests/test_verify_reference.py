@@ -29,13 +29,12 @@ from opaque import (
     interior_single_arc,
     is_opaque,
     make_fixture,
-    projections_cover,
     validate_polygon,
 )
 from opaque.geometry import TOL_ANG, TOL_LEN_REL, Interval, unit_normal
 from opaque.verify import TOL_COVER_REL, _component_points
 
-from conftest import assert_witness, regular_ngon, truncated
+from conftest import assert_witness, cover_at, regular_ngon, truncated
 
 REL = 1e-12
 METHODS = {"a1": algo_a1, "a3": algo_a3, "a4": algo_a4, "interior-arc": interior_single_arc}
@@ -157,7 +156,7 @@ def test_square_fixtures_match_reference(square):
 @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2, 2.9])
 def test_projections_cover_matches_sweep(ratio_polys, theta):
     for poly, barrier, _ in cases(ratio_polys[::100]):
-        covered, gap = projections_cover(poly, barrier, theta)
+        covered, gap = cover_at(poly, barrier, theta)
         ref_covered, ref_gap = ref_cover(poly, barrier, theta)
         assert covered == ref_covered
         if not covered:
