@@ -291,13 +291,13 @@ def _u_lengths(poly: ConvexPolygon, thetas):
     th = np.asarray(thetas, dtype=float)
     c, s = np.cos(th), np.sin(th)
     # blocks: smallest s, largest s, and smallest t as the largest -t
-    cand, near, proj = (a.reshape(3, len(th), -1) for a in support_window(
+    cand, near, proj = (a.reshape(len(a), 3, len(th)) for a in support_window(
         poly, np.concatenate([-c, c, s]), np.concatenate([-s, s, -c]), poly.tol_geom))
-    t0 = -proj[2].max(axis=1)
-    xy = poly.coords[cand[:2]]
-    tv = np.where(near[:2], xy[..., 0] * -s[:, None] + xy[..., 1] * c[:, None], np.inf)
-    tmin = tv.min(axis=2)
-    i1, i2 = np.where(tv == tmin[..., None], cand[:2], len(poly)).min(axis=2)
+    t0 = -proj[:, 2].max(axis=0)
+    x, y = poly.coords.T
+    tv = np.where(near[:, :2], x[cand[:, :2]] * -s + y[cand[:, :2]] * c, np.inf)
+    tmin = tv.min(axis=0)
+    i1, i2 = np.where(tv == tmin, cand[:, :2], len(poly)).min(axis=0)
     cum = poly.cumulative_lengths
     per = poly.perimeter
     arc = np.where(i1 != i2, per - (cum[i2] - cum[i1]) % per, 0.0)
@@ -376,8 +376,7 @@ def algo_a4_candidates(poly: ConvexPolygon):
     """
     rect = min_perimeter_rectangle(poly)
     c = np.array(rect.corners, dtype=float)
-    x, y = rect.side_x, rect.side_y
-    alt = x * y / math.hypot(x, y)
+    alt = rect.side_x * rect.side_y / math.hypot(rect.side_x, rect.side_y)
     # the rectangle's own frame (corner differences over the sides are off
     # by ulp(|corner|) / side far from the origin)
     u, nrm = np.array(rect.axis_x), np.array(rect.axis_y)
@@ -387,10 +386,11 @@ def algo_a4_candidates(poly: ConvexPolygon):
     # every vertex of a polygon thinner than it on both long sides
     side = np.array([-nrm, u, nrm, -u])
     cand, near, _ = support_window(poly, side[:, 0], side[:, 1], poly.tol_geom)
-    along = poly.coords[cand, 0] * -side[:, 1:] + poly.coords[cand, 1] * side[:, :1]
-    rows = np.arange(4)
-    first = cand[rows, np.where(near, along, np.inf).argmin(axis=1)].tolist()
-    last = cand[rows, np.where(near, along, -np.inf).argmax(axis=1)].tolist()
+    x, y = poly.coords.T
+    along = x[cand] * -side[:, 1] + y[cand] * side[:, 0]
+    cols = np.arange(4)
+    first = cand[np.where(near, along, np.inf).argmin(axis=0), cols].tolist()
+    last = cand[np.where(near, along, -np.inf).argmax(axis=0), cols].tolist()
     out = []
     for k in range(4):
         i = first[k]

@@ -9,6 +9,11 @@ Validation runs a fixed number of numpy calls: one read of the
 coordinates, one closed copy of them for the edges, turns and signed area,
 and the edge-normal angles, which also reject a boundary that winds more
 than once.  The diameter is one ``extreme_index`` lookup over those angles.
+Vertex windows around extreme vertices (the diameter's antipodal window,
+``support_window``) are laid out window-major, (w, directions): a window's
+max or min reduces over axis 0, a few contiguous rows of every direction,
+which numpy does many times faster than a reduction over an inner axis of
+length w.
 Coordinates enter the package only through ``read_points``; the ``Point2``
 tuple of vertices is built only when a caller reads it.
 
@@ -192,10 +197,10 @@ class ConvexPolygon:
             n = len(nrm)
             # extreme in the inward normal direction; 1..n, and the closed
             # copy reads n + 1 as vertex 1
-            far = extreme_index(nrm, nrm + math.pi)[:, None] + (-1, 0, 1)
-            x, y = self._closed[:, 0], self._closed[:, 1]
+            far = extreme_index(nrm, nrm + math.pi) + np.array([[-1], [0], [1]])
+            x, y = self._closed.T
             fx, fy = x[far], y[far]
-            self._diameter = max(float(np.hypot(fx - x[i:i + n, None], fy - y[i:i + n, None]).max())
+            self._diameter = max(float(np.hypot(fx - x[i:i + n], fy - y[i:i + n]).max())
                                  for i in (0, 1))
         return self._diameter
 
@@ -339,24 +344,26 @@ def support_window(poly: ConvexPolygon, ux, uy, eps: float = 0.0):
     """Support oracle: the vertices whose projection x*ux + y*uy is within
     eps of the largest, for each direction (ux[k], uy[k]).
 
-    Returns (cand, near, proj): a (directions, w) array of vertex indices,
-    the mask of those within eps of the largest, and their projections.
+    Returns (cand, near, proj), each (w, directions): the window's vertex
+    indices, the mask of those within eps of the largest, and their
+    projections; window-major, so a window's max reduces over axis 0 (see
+    the module docstring).
     ``extreme_index`` over ``poly.normal_angles`` finds the extreme vertex
     k in O(log n), up to rounding in the angles.  The window k-2 .. k+2 then
     widens until no mask reaches its ends, so the largest projection is
     evaluated exactly; on a strictly convex polygon the masked run is
     contiguous and, for eps far below the edge lengths, a few vertices long.
     """
-    ux = np.asarray(ux, dtype=float)[:, None]
-    uy = np.asarray(uy, dtype=float)[:, None]
-    n = len(poly)
+    ux, uy = np.asarray(ux, dtype=float), np.asarray(uy, dtype=float)
+    x, y = poly.coords.T
+    n = len(x)
     k = extreme_index(poly.normal_angles, np.arctan2(uy, ux))
     r = 2
     while True:
-        cand = (k + np.arange(-r, r + 1)) % n
-        proj = poly.coords[cand, 0] * ux + poly.coords[cand, 1] * uy
-        near = proj >= proj.max(axis=1, keepdims=True) - eps
-        if 2 * r + 1 >= n or not (near[:, 0] | near[:, -1]).any():
+        cand = (k + np.arange(-r, r + 1)[:, None]) % n
+        proj = x[cand] * ux + y[cand] * uy
+        near = proj >= proj.max(axis=0) - eps
+        if 2 * r + 1 >= n or not (near[0] | near[-1]).any():
             return cand, near, proj
         r *= 2
 
@@ -371,7 +378,7 @@ def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
     """
     m, o = poly.edge_normals_offsets()
     # distance of the farthest vertex to each edge line
-    widths = support_window(poly, m[:, 0], m[:, 1])[2].max(axis=1) - o
+    widths = support_window(poly, m[:, 0], m[:, 1])[2].max(axis=0) - o
     wmin = float(widths.min())
     tol = TOL_LEN_REL * poly.diameter
     candidates = np.nonzero(widths <= wmin + tol)[0]
@@ -402,7 +409,7 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
     ux, uy = m[:, 1], -m[:, 0]      # unit edge directions
     # extents along each edge (s) and its inward normal (t): four supports
     top = support_window(poly, np.concatenate([ux, -ux, -uy, uy]),
-                         np.concatenate([uy, -uy, ux, -ux]))[2].max(axis=1).reshape(4, -1)
+                         np.concatenate([uy, -uy, ux, -ux]))[2].max(axis=0).reshape(4, -1)
     pers = (top[0] + top[1]) + (top[2] + top[3])
     candidates = np.nonzero(pers <= pers.min() + TOL_GEOM_REL * poly.diameter)[0]
     # the edge direction mod pi/2, unsnapped; argmin takes the first of

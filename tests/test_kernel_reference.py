@@ -14,7 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from opaque import algo_a3, make_fixture, min_perimeter_rectangle, min_width, validate_polygon
+from opaque import (
+    algo_a3,
+    make_fixture,
+    min_perimeter_rectangle,
+    min_width,
+    random_convex_polygon,
+    validate_polygon,
+)
 from opaque.barriers import _u_lengths
 from opaque.geometry import (
     TOL_AREA_REL,
@@ -23,6 +30,7 @@ from opaque.geometry import (
     canon_line_angle,
     canon_oriented_angle,
     cross2,
+    support_window,
 )
 
 from opaque.incircle import _antipodal_candidates
@@ -202,3 +210,42 @@ def test_antipodal_candidates_match_all_pairs(ratio_polys):
         pairs = {(min(p, q), max(p, q)) for p, q in zip(first.tolist(), second.tolist())}
         assert (_antipodal(m, pairs)
                 == _antipodal(m, itertools.combinations(touch, 2)))
+
+
+def check_support_window(poly, ux, uy, eps):
+    """Window max against the all-vertex projections, bit for bit; every
+    vertex within eps of it in the window and marked near.  Returns r."""
+    x, y = poly.coords.T
+    cand, near, proj = support_window(poly, ux, uy, eps)
+    every = x[:, None] * ux + y[:, None] * uy
+    top = every.max(axis=0)
+    r = len(cand) // 2
+    assert cand.shape == near.shape == proj.shape == (2 * r + 1, len(ux))
+    assert r >= 2 and r & (r - 1) == 0
+    # + 0.0: which of a tied -0.0 and 0.0 a max returns depends on the order
+    assert bits(proj.max(axis=0) + 0.0) == bits(top + 0.0)
+    marked = np.zeros(every.shape, bool)
+    marked[cand[near], np.broadcast_to(np.arange(len(ux)), cand.shape)[near]] = True
+    assert np.array_equal(marked, every >= top - eps)
+    return r
+
+
+def bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def test_support_window_matches_all_vertices():
+    rng = np.random.default_rng(2024)
+    polys = [regular_ngon(n) for n in (3, 4, 5, 6, 7, 64, 511, 512)]
+    polys += [SHAPES[name]() for name in ("flat-chain", "thin-rect", "thin-rect-rotated",
+                                          "reuleaux-5", "reuleaux-300", "reuleaux-shaved")]
+    polys += [random_convex_polygon(int(rng.integers(3, 200)), rng) for _ in range(20)]
+    widened = 0
+    for poly in polys:
+        m, _ = poly.edge_normals_offsets()
+        phi = rng.uniform(0.0, 2.0 * math.pi, 64)
+        ux = np.concatenate([m[:, 0], -m[:, 0], -m[:, 1], m[:, 1], np.cos(phi)])
+        uy = np.concatenate([m[:, 1], -m[:, 1], m[:, 0], -m[:, 0], np.sin(phi)])
+        for eps in (0.0, poly.tol_geom):
+            widened += check_support_window(poly, ux, uy, eps) > 2
+    assert widened

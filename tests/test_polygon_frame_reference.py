@@ -89,7 +89,7 @@ class RefPolygon:
         self.inward = m, np.einsum("ij,ij->i", m, self.coords)
         # every vertex of the support window around each edge's far vertex
         # against both ends of the edge
-        far = self.coords[support_window(self, m[:, 0], m[:, 1])[0]]
+        far = self.coords[support_window(self, m[:, 0], m[:, 1])[0].T]
         ends = self.coords[(np.arange(len(m))[:, None] + [0, 1]) % len(m)]
         d = far[:, :, None, :] - ends[:, None, :, :]
         self.diameter = float(np.hypot(d[..., 0], d[..., 1]).max())
@@ -109,7 +109,7 @@ def ref_canon_line_angle(theta):
 
 def ref_min_width(poly):
     m, o = poly.inward
-    widths = support_window(poly, m[:, 0], m[:, 1])[2].max(axis=1) - o
+    widths = support_window(poly, m[:, 0], m[:, 1])[2].max(axis=0) - o
     wmin = float(widths.min())
     tol = TOL_LEN_REL * poly.diameter
     candidates = np.nonzero(widths <= wmin + tol)[0]
