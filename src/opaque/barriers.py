@@ -23,7 +23,6 @@ import numpy as np
 
 from .geometry import (
     TOL_GEOM_REL,
-    TOL_LEN_REL,
     ConvexPolygon,
     Point2,
     canon_oriented_angle,
@@ -266,8 +265,8 @@ def _solution(poly, barrier, method, extras=None) -> BarrierSolution:
 def _path(start: np.ndarray, chain: np.ndarray, end: np.ndarray, tol: float) -> np.ndarray:
     """``start``, the polygon vertices ``chain`` and ``end`` as one new
     array, less a point within ``tol`` of the one kept before it: validated
-    vertices lie farther apart than tol_geom, so only the two ends can
-    collapse."""
+    vertices lie farther apart than ``poly.tol.geom``, so only the two ends
+    can collapse."""
     a, b = start.tolist(), end.tolist()
     if math.dist(a, chain[0].tolist()) <= tol:
         chain = chain[1:]
@@ -286,13 +285,13 @@ def _u_lengths(poly: ConvexPolygon, thetas):
 
     With s and t the projections on the baseline direction and its normal,
     i1 (i2) is the lowest vertex, smallest index on ties, among those
-    within tol_geom of the smallest (largest) s.
+    within ``poly.tol.geom`` of the smallest (largest) s.
     """
     th = np.asarray(thetas, dtype=float)
     c, s = np.cos(th), np.sin(th)
     # blocks: smallest s, largest s, and smallest t as the largest -t
     cand, near, proj = (a.reshape(len(a), 3, len(th)) for a in support_window(
-        poly, np.concatenate([-c, c, s]), np.concatenate([-s, s, -c]), poly.tol_geom))
+        poly, np.concatenate([-c, c, s]), np.concatenate([-s, s, -c]), poly.tol.geom))
     t0 = -proj[:, 2].max(axis=0)
     x, y = poly.coords.T
     tv = np.where(near[:, :2], x[cand[:, :2]] * -s + y[cand[:, :2]] * c, np.inf)
@@ -317,7 +316,7 @@ def u_curve(poly: ConvexPolygon, baselines) -> tuple[float, Barrier]:
     t0 = t.min()  # one rounding for the baseline and both drops
     chain = poly.coords[(i1 - np.arange((i1 - i2) % len(poly) + 1)) % len(poly)]
     q1, q2 = chain[[0, -1]] + (t0 - t[[i1, i2]])[:, None] * nrm
-    path = _path(q1, chain, q2, poly.tol_geom)
+    path = _path(q1, chain, q2, poly.tol.geom)
     return theta, Barrier._of(path, [len(path)], "single-arc")
 
 
@@ -340,13 +339,10 @@ def algo_a2(poly: ConvexPolygon) -> BarrierSolution:
         extras["b3_length"] = b3_len
         # the two candidates tie on triangles with a vertex of 120 degrees or
         # more (both are the two sides at that vertex): take the tree unless
-        # it is longer by more than rounding, so no similarity flips the kind;
-        # far out, a1's zero drops land up to an ulp of |coords| off a vertex
-        slack = TOL_LEN_REL * poly.diameter + 4.0 * np.finfo(float).eps * np.abs(poly.coords).max()
-        if b3_len <= a1.length + slack:
+        # it is longer by more than rounding, so no similarity flips the kind
+        if b3_len <= a1.length + poly.tol.tie:
             return _solution(poly, _tree_barrier(tri.corners, nodes, edges), "a2", extras)
-    return BarrierSolution(a1.barrier, a1.length, a1.lower_bound, "a2",
-                           a1.ratio, extras)
+    return _solution(poly, a1.barrier, "a2", extras)
 
 
 def algo_a3(poly: ConvexPolygon) -> BarrierSolution:
@@ -385,7 +381,7 @@ def algo_a4_candidates(poly: ConvexPolygon):
     # right, top and left sides, by position along the side: rounding can put
     # every vertex of a polygon thinner than it on both long sides
     side = np.array([-nrm, u, nrm, -u])
-    cand, near, _ = support_window(poly, side[:, 0], side[:, 1], poly.tol_geom)
+    cand, near, _ = support_window(poly, side[:, 0], side[:, 1], poly.tol.geom)
     x, y = poly.coords.T
     along = x[cand] * -side[:, 1] + y[cand] * side[:, 0]
     cols = np.arange(4)
@@ -397,7 +393,7 @@ def algo_a4_candidates(poly: ConvexPolygon):
         j = last[(k + 1) % 4]
         m = (j - i) % n + 1
         chain = poly.coords[i:i + m] if i + m <= n else poly.coords[(i + np.arange(m)) % n]
-        path = _path(c[k], chain, c[(k + 2) % 4], poly.tol_geom)
+        path = _path(c[k], chain, c[(k + 2) % 4], poly.tol.geom)
         # the altitude from the opposite corner to the diagonal start-end
         start, opp = c[k], c[(k + 3) % 4]
         ab = c[(k + 2) % 4] - start

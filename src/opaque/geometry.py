@@ -24,7 +24,9 @@ Conventions:
   * the projection axis for direction theta is the unit normal
     n(theta) = (-sin theta, cos theta).
 
-Tolerances scale with the polygon diameter so behavior is size invariant.
+Tolerances scale with the polygon so behavior is size invariant; every
+one built from a polygon's diameter or coordinates is a field of its
+``tol`` table (``Tolerances``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ TOL_GEOM_REL = 1e-9
 TOL_TOUCH_REL = 1e-7
 TOL_AREA_REL = 1e-12
 TOL_LEN_REL = 1e-12    # lengths treated as zero: merge gains, point pairs
+TOL_COVER_REL = 1e-9
+ROUNDING_COVER = 8.0   # eps * (max |coord| + diameter) units; see Tolerances
 TOL_ANG = 1e-12
+SNAP_ANG = 1e-15       # an angle this far below its period canonicalizes to 0
 
 
 class PolygonError(ValueError):
@@ -75,12 +80,53 @@ class Point2(NamedTuple):
     y: float
 
 
+class Tolerances(NamedTuple):
+    """A polygon's tolerances (``ConvexPolygon.tol``), with D its diameter,
+    M its largest |coordinate| and eps = 2**-52, the machine epsilon:
+
+      * ``geom`` = TOL_GEOM_REL * D: vertex contacts of the U-curve scan and
+        the a4 wrap-arounds, collapsing path ends, and near-ties of the
+        minimum-perimeter rectangle;
+      * ``length`` = TOL_LEN_REL * D: near-ties of the minimum width, and
+        point pairs too close to give a critical direction;
+      * ``cover`` = TOL_COVER_REL * D + ROUNDING_COVER * eps * (M + D): the
+        widest projection gap that still counts as covered (``is_opaque``,
+        ``projections_cover``, ``sampling_oracle``).  With u = eps/2, a
+        projection fl(-x*s + y*c) is off by at most 2u(|x| + |y|) <= 2*eps*M'
+        for coordinates bounded by M' (two rounded products and a rounded
+        sum), so a gap between two projections is off by at most 4*eps*M';
+        barrier points lie within a diameter of the polygon, so M' is M + D.
+        The rounded (s, c) is one normal shared by every point of the
+        direction, so its error moves a gap only by about u times the
+        distance between the two points, at most 3 diameters.
+        ROUNDING_COVER = 8 is a conservative cover for both terms and the
+        comparison;
+      * ``tie`` = TOL_LEN_REL * D + 4 * eps * M: how much longer than a1's
+        barrier a2's Steiner tree may be and still be kept.  The two tie on
+        triangles with a vertex of 120 degrees or more; far out, a1's zero
+        drops land up to an ulp of M off a vertex.
+
+    Some tolerances do not scale with a polygon and stay with their code:
+    validation scales by the coordinate span, since no diameter exists
+    yet; the ``connected`` check of a barrier scales by the extent of its
+    points, and the Steiner routines by their terminals, since neither has
+    a polygon; the incircle LP works in a frame of unit diameter, so its
+    TOL_LEN_REL and TOL_TOUCH_REL are used as they are; TOL_ANG and
+    SNAP_ANG are angles, in radians.
+    """
+
+    geom: float
+    length: float
+    cover: float
+    tie: float
+
+
 def canon_line_angle(theta: float) -> float:
     """Normalize an undirected line direction into [0, pi)."""
     t = math.fmod(theta, math.pi)
     if t < 0.0:
         t += math.pi
-    if t >= math.pi - 1e-15:
+    if t >= math.pi - SNAP_ANG:
         t = 0.0
     return t
 
@@ -89,7 +135,7 @@ def canon_oriented_angle(theta):
     """Normalize an oriented direction, or an array of them, into [0, 2*pi)."""
     t = np.fmod(theta, TWO_PI)
     t = np.where(t < 0.0, t + TWO_PI, t)
-    t = np.where(t >= TWO_PI - 1e-15, 0.0, t)
+    t = np.where(t >= TWO_PI - SNAP_ANG, 0.0, t)
     return t if t.ndim else float(t)
 
 
@@ -204,13 +250,14 @@ class ConvexPolygon:
                                  for i in (0, 1))
         return self._diameter
 
-    @property
-    def tol_geom(self) -> float:
-        return TOL_GEOM_REL * self.diameter
-
-    @property
-    def tol_touch(self) -> float:
-        return TOL_TOUCH_REL * self.diameter
+    @functools.cached_property
+    def tol(self) -> Tolerances:
+        """The polygon's tolerance table, built on first use: the one place
+        a tolerance is built from its diameter or coordinates."""
+        d, mag, eps = self.diameter, float(np.abs(self._coords).max()), math.ulp(1.0)
+        return Tolerances(TOL_GEOM_REL * d, TOL_LEN_REL * d,
+                          TOL_COVER_REL * d + ROUNDING_COVER * eps * (mag + d),
+                          TOL_LEN_REL * d + 4.0 * eps * mag)
 
     def edge_normals_offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Inward unit normals m_i and offsets o_i with interior
@@ -380,15 +427,14 @@ def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
     # distance of the farthest vertex to each edge line
     widths = support_window(poly, m[:, 0], m[:, 1])[2].max(axis=0) - o
     wmin = float(widths.min())
-    tol = TOL_LEN_REL * poly.diameter
-    candidates = np.nonzero(widths <= wmin + tol)[0]
+    candidates = np.nonzero(widths <= wmin + poly.tol.length)[0]
     # alpha = direction of the inward normal, canonicalized as by
     # canon_line_angle; argmin takes the smallest index among equal angles
     mc = m[candidates]
     alphas = np.fmod(np.fromiter(map(math.atan2, mc[:, 1].tolist(), mc[:, 0].tolist()),
                                  float, len(candidates)), math.pi)
     alphas[alphas < 0.0] += math.pi
-    alphas[alphas >= math.pi - 1e-15] = 0.0
+    alphas[alphas >= math.pi - SNAP_ANG] = 0.0
     j = int(alphas.argmin())
     alpha_star, k = float(alphas[j]), int(candidates[j])
     line_dir = canon_line_angle(alpha_star + math.pi / 2.0)
@@ -401,7 +447,7 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
     """Minimum-perimeter enclosing rectangle (edge-flush enumeration).
 
     One side is flush with a polygon edge; among the perimeters within
-    TOL_GEOM_REL * diameter of the minimum, the smallest orientation angle
+    ``poly.tol.geom`` of the minimum, the smallest orientation angle
     (mod pi/2) wins, as in ``min_width``.
     """
     v = poly.coords
@@ -411,7 +457,7 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
     top = support_window(poly, np.concatenate([ux, -ux, -uy, uy]),
                          np.concatenate([uy, -uy, ux, -ux]))[2].max(axis=0).reshape(4, -1)
     pers = (top[0] + top[1]) + (top[2] + top[3])
-    candidates = np.nonzero(pers <= pers.min() + TOL_GEOM_REL * poly.diameter)[0]
+    candidates = np.nonzero(pers <= pers.min() + poly.tol.geom)[0]
     # the edge direction mod pi/2, unsnapped; argmin takes the first of
     # equal angles
     angs = np.fmod(np.fromiter(map(math.atan2, uy[candidates].tolist(), ux[candidates].tolist()),

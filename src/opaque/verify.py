@@ -11,22 +11,24 @@ sharing is always sound, and no proximity merge is made: two polylines
 a hair apart stay two components, so a line through the gap is found.
 
 Hull certificate.  A line that misses hull(B) misses the barrier B, so B
-is not opaque when a polygon vertex lies more than tol_cover outside
-hull(B).  ``is_opaque`` first builds hull(B) (a segment when the barrier
-is collinear) and finds the largest Euclidean distance of a polygon vertex
+is not opaque when a polygon vertex lies more than tol.cover outside
+hull(B), tol.cover being the polygon's ``poly.tol.cover``, the widest
+projection gap that counts as covered (``geometry.Tolerances``).
+``is_opaque`` first builds hull(B) (a segment when the barrier is
+collinear) and finds the largest Euclidean distance of a polygon vertex
 outside it, and a unit direction u where h_P(u) - h_B(u) attains it, h
 being the support functions.  No gap at an end of the polygon's
 projection is wider in any direction, and a gap between two components'
 projections is no wider than the distance of their hulls.  So when that
-support gap exceeds tol_cover and no two component hulls lie farther
+support gap exceeds tol.cover and no two component hulls lie farther
 apart, the line perpendicular to u midway between the barrier's and the
 polygon's extreme projections is a witness at least as wide as any
 uncovered gap, and no direction is scanned.  When the polygon lies within
-tol_cover of hull(B), a line misses a connected set iff it misses the
+tol.cover of hull(B), a line misses a connected set iff it misses the
 set's convex hull, and a line separating two hulls sees a projection gap
 no wider than their distance.  So when the component hulls also form one
 connected touch graph, two hulls touching when their Euclidean distance
-is at most tol_cover, no direction has a gap wider than tol_cover between
+is at most tol.cover, no direction has a gap wider than tol.cover between
 components and B is opaque, again with no direction tested.  These tests
 merge the edge-normal angles of two convex polygons and find each arc's
 two supporting vertices with the kernel's ``extreme_index``
@@ -51,11 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import Barrier, touch_search
-from .geometry import (ConvexPolygon, Interval, TOL_ANG, TOL_LEN_REL, TWO_PI, extreme_index,
-                       normal_angles, unit_normal)
+from .geometry import (ConvexPolygon, Interval, TOL_ANG, TWO_PI, extreme_index, normal_angles,
+                       unit_normal)
 
-TOL_COVER_REL = 1e-9
-ROUNDING_COVER = 8.0   # eps * (max |coord| + diameter) units; see tol_cover
 # directions per block in is_opaque: the (points x directions) projections
 # stay near (n + m) * BLOCK * 8 bytes whatever the number of directions
 BLOCK = 4096
@@ -71,14 +71,14 @@ class Witness:
 @dataclass(frozen=True)
 class VerificationReport:
     """``certificate`` says what decided: "hull" (no direction is tested:
-    either a polygon vertex lies more than tol_cover outside the barrier's
-    hull, and farther than any two component hulls lie apart, so the
-    barrier is not opaque, or the polygon lies within tol_cover of that
-    hull and the component hulls form one connected touch graph, so it
-    is) or "directions" (the critical-direction scan).
+    either a polygon vertex lies more than ``poly.tol.cover`` outside the
+    barrier's hull, and farther than any two component hulls lie apart, so
+    the barrier is not opaque, or the polygon lies within tol.cover of
+    that hull and the component hulls form one connected touch graph, so
+    it is) or "directions" (the critical-direction scan).
     For a hull certificate ``min_slack`` is the smallest depth of a
     polygon vertex inside hull(B), minus its distance for a vertex
-    outside: below -tol_cover for a non-opaque verdict, and <= 0 for an
+    outside: below -tol.cover for a non-opaque verdict, and <= 0 for an
     opaque one when some vertex lies in the tolerance band; otherwise
     None."""
 
@@ -87,21 +87,6 @@ class VerificationReport:
     directions_tested: int
     certificate: str
     min_slack: float | None
-
-
-def tol_cover(poly: ConvexPolygon) -> float:
-    """Widest projection gap that still counts as covered: TOL_COVER_REL *
-    diameter plus rounding.  With u = eps/2, a projection fl(-x*s + y*c)
-    is off by at most 2u(|x| + |y|) <= 2*eps*M for coordinates bounded by
-    M (two rounded products and a rounded sum), so a gap between two
-    projections is off by at most 4*eps*M; barrier points lie within a
-    diameter of the polygon, so M is max |coord| + diameter.  The rounded
-    (s, c) is one normal shared by every point of the direction, so its
-    error moves a gap only by about u times the distance between the two
-    points, at most 3 diameters.  ROUNDING_COVER = 8 is a conservative
-    cover for both terms and the comparison."""
-    mag = float(np.abs(poly.coords).max()) + poly.diameter
-    return TOL_COVER_REL * poly.diameter + ROUNDING_COVER * np.finfo(float).eps * mag
 
 
 def _component_points(barrier: Barrier) -> tuple[np.ndarray, list[int]]:
@@ -151,7 +136,7 @@ def projections_cover(poly: ConvexPolygon, pts: np.ndarray, ends: list[int],
         proj[s:e].min(axis=0, out=lo[c])
         proj[s:e].max(axis=0, out=hi[c])
     del proj
-    return _sweep(plo, phi, lo, hi, tol_cover(poly))
+    return _sweep(plo, phi, lo, hi, poly.tol.cover)
 
 
 def _sweep(plo: np.ndarray, phi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -181,7 +166,7 @@ def critical_directions(poly: ConvexPolygon, barrier: Barrier) -> list[float]:
     n = len(pts)
     ii, jj = np.triu_indices(n, k=1)
     d = pts[jj] - pts[ii]
-    keep = np.hypot(d[:, 0], d[:, 1]) > TOL_LEN_REL * poly.diameter
+    keep = np.hypot(d[:, 0], d[:, 1]) > poly.tol.length
     ang = np.mod(np.arctan2(d[keep, 1], d[keep, 0]), math.pi)
     ang = np.where(ang >= math.pi - TOL_ANG, 0.0, ang)
     return _dedup_sorted(np.sort(ang))
@@ -319,14 +304,14 @@ def _hulls_touch(frames: list[tuple[np.ndarray, np.ndarray]], tol: float) -> boo
 def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     """Decide opaqueness exactly.
 
-    A polygon vertex more than tol_cover outside the barrier's hull (in
+    A polygon vertex more than tol.cover outside the barrier's hull (in
     Euclidean distance) makes the barrier not opaque by the hull
     certificate, with the support gap's witness, when no two component
     hulls lie farther apart than that vertex: then no uncovered gap in any
     direction is wider than the witness.  A barrier whose hull holds the
-    polygon, every vertex within tol_cover, and whose component hulls form
+    polygon, every vertex within tol.cover, and whose component hulls form
     one connected touch graph (two hulls touch when they are within
-    tol_cover of each other) is opaque by it.  Either way no
+    tol.cover of each other) is opaque by it.  Either way no
     direction is tested, and ``min_slack`` reports the smallest depth of a
     polygon vertex inside hull(B), negative for a vertex outside.  Every
     other barrier goes to the direction scan: one whose hull holds the
@@ -334,7 +319,7 @@ def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     hulls lie farther apart than its polygon vertex outside hull(B).
     """
     pts, ends = _component_points(barrier)
-    tol = tol_cover(poly)
+    tol = poly.tol.cover
     frames = [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
     # the union's hull is the hull of the component hulls' vertices
     hull, angles = frames[0] if len(frames) == 1 else _hull_frame(
@@ -394,7 +379,7 @@ def sampling_oracle(poly: ConvexPolygon, barrier: Barrier,
                     n_angles: int, n_offsets: int) -> bool:
     """Independent grid-sampling check: returns False when some sampled line
     crosses the polygon (with inward margin) yet misses every segment."""
-    tol = tol_cover(poly)
+    tol = poly.tol.cover
     thetas = np.linspace(0.0, math.pi, n_angles, endpoint=False)
     segs = barrier.segments()
     a = np.array([s[0] for s in segs], dtype=float)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from opaque import Barrier, random_convex_polygon, validate_polygon
-from opaque.geometry import Interval, unit_normal
-from opaque.verify import ROUNDING_COVER, _component_points, projections_cover, tol_cover
+from opaque.geometry import ROUNDING_COVER, Interval, unit_normal
+from opaque.verify import _component_points, projections_cover
 
 RATIO_SEED = 12345
 RATIO_COUNT = 1000
@@ -88,13 +88,13 @@ def truncated(poly, barrier):
 
 def assert_witness(poly, barrier, report, floor):
     """The report's witness, checked from the inputs alone: its line passes
-    more than tol_cover / 2 from every barrier segment's projection and
+    more than poly.tol.cover / 2 from every barrier segment's projection and
     from both ends of the polygon's projection, its uncovered interval
     holds the offset, and the interval is at least ``floor`` wide (the
     direction scan's widest gap, or any lower bound), up to the rounding
     of one gap."""
     w = report.witness
-    tol = tol_cover(poly)
+    tol = poly.tol.cover
     nrm = unit_normal(w.theta)
     off = w.representative_offset
     pproj = poly.coords @ nrm

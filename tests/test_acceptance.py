@@ -26,7 +26,6 @@ from opaque import (
     min_perimeter_rectangle,
     sampling_oracle,
 )
-from opaque.verify import tol_cover
 
 from test_barriers import brute_force_min_path
 
@@ -180,7 +179,7 @@ def test_11_verifier_cross_validation(square, ratio_polys):
                 [-math.sin(w.theta), math.cos(w.theta)])))
             # only demand oracle agreement when the gap is wide enough for
             # the sample grid to hit it
-            if w.uncovered.length > max(10 * tol_cover(poly), 2 * span / 2000):
+            if w.uncovered.length > max(10 * poly.tol.cover, 2 * span / 2000):
                 ok = ok and not sampled
             # every witness must name a genuinely unblocked line
             nrm = np.array([-math.sin(w.theta), math.cos(w.theta)])
@@ -188,8 +187,8 @@ def test_11_verifier_cross_validation(square, ratio_polys):
             ok = ok and pproj.min() - 1e-9 <= w.representative_offset <= pproj.max() + 1e-9
             for a, b in barrier.segments():
                 lo, hi = sorted((float(np.array(a) @ nrm), float(np.array(b) @ nrm)))
-                ok = ok and not (lo - tol_cover(poly) < w.representative_offset
-                                 < hi + tol_cover(poly))
+                ok = ok and not (lo - poly.tol.cover < w.representative_offset
+                                 < hi + poly.tol.cover)
         if not ok:
             break
     _report(11, f"verifier agrees with the sampling oracle on {len(cases)} cases", ok)

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import opaque
 from opaque import ConvexPolygon
-from opaque.verify import tol_cover
 
 from conftest import regular_ngon
 
@@ -41,7 +40,7 @@ def test_traced_spans_resolve():
 def test_traced_spans_fire():
     # the six methods on a pentagon (its tangent triangle exists, so a2
     # builds a three-terminal tree), a barrier the hulls certify, and the
-    # square's three sides with the bottom cut by a gap of twice tol_cover,
+    # square's three sides with the bottom cut by a gap of twice tol.cover,
     # which only the direction scan decides
     tracing = load_tracing()
     rec = tracing.Recorder()
@@ -51,7 +50,7 @@ def test_traced_spans_fire():
             getattr(opaque, method)(poly)
         assert opaque.is_opaque(poly, opaque.algo_a1(poly).barrier).certificate == "hull"
         square = opaque.validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        gap = 2.0 * tol_cover(square)
+        gap = 2.0 * square.tol.cover
         split = opaque.Barrier((((0, 1), (0, 0), (0.5, 0)), ((0.5 + gap, 0), (1, 0), (1, 1))),
                                "arbitrary")
         assert opaque.is_opaque(square, split).certificate == "directions"

@@ -1,4 +1,8 @@
+import ast
 import math
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,14 @@ from opaque import (
     random_convex_polygon,
     validate_polygon,
 )
-from opaque.geometry import PolygonError, polyline_length
+from opaque.geometry import (
+    ROUNDING_COVER,
+    TOL_COVER_REL,
+    TOL_GEOM_REL,
+    TOL_LEN_REL,
+    PolygonError,
+    polyline_length,
+)
 
 from conftest import regular_ngon
 
@@ -151,6 +162,107 @@ class TestBasics:
 
     def test_polyline_length(self):
         assert polyline_length([(0, 0), (1, 0), (1, 1)]) == pytest.approx(2.0)
+
+
+# Inputs of the tolerance-table tests sit on this grid, so a translation by
+# up to 2**33 (in the grid's units of 2**-19 that is 2**52) is exact and
+# moves no edge vector, hence no diameter, by a bit.
+GRID = 2.0 ** -19
+SRC = Path(__file__).resolve().parent.parent / "src" / "opaque"
+
+
+def _table_cases():
+    """(base, shifted, scale, polygon) for random hulls, regular n-gons and
+    thin polygons on the grid: shifted is base translated exactly by 0,
+    1e3 or 1e9 diameters, and polygon is shifted scaled by a power of two
+    from 2**-20 to 2**20."""
+    rng = np.random.default_rng(23)
+    shapes = [random_convex_polygon(int(rng.integers(3, 9)), rng).coords for _ in range(6)]
+    shapes += [regular_ngon(n).coords for n in (3, 4, 7, 64)]
+    t = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    shapes += [np.array([(-1.0, 0.0), (0.0, -1e-4), (1.0, 0.0), (0.0, 1e-4)]),
+               np.column_stack([np.cos(t), 1e-3 * np.sin(t)])]
+    out = []
+    for i, pts in enumerate(shapes):
+        pts = np.round(pts / GRID) * GRID
+        base = validate_polygon(pts)
+        for log_shift in (None, 3, 9):
+            away = np.array([math.cos(i), math.sin(i)])
+            shift = 0.0 if log_shift is None else np.round(
+                10.0 ** log_shift * base.diameter * away / GRID) * GRID
+            shifted = validate_polygon(pts + shift)
+            for k in (-20, -7, 0, 11, 20):
+                out.append((base, shifted, 2.0 ** k, validate_polygon((pts + shift) * 2.0 ** k)))
+    return out
+
+
+class TestTolerances:
+    """``ConvexPolygon.tol``, the one table of polygon-scaled tolerances."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _table_cases()
+
+    def test_fields_are_their_documented_expressions(self, cases):
+        eps = np.finfo(float).eps
+        for _, _, _, poly in cases:
+            d, mag = poly.diameter, float(np.abs(poly.coords).max())
+            assert poly.tol is poly.tol
+            assert tuple(poly.tol) == (TOL_GEOM_REL * d, TOL_LEN_REL * d,
+                                       TOL_COVER_REL * d + ROUNDING_COVER * eps * (mag + d),
+                                       TOL_LEN_REL * d + 4.0 * eps * mag)
+            assert all(type(f) is float for f in poly.tol)
+
+    def test_scale_exactly_and_geom_length_ignore_translation(self, cases):
+        for base, shifted, scale, poly in cases:
+            assert tuple(poly.tol) == tuple(scale * f for f in shifted.tol)
+            assert (shifted.tol.geom, shifted.tol.length) == (base.tol.geom, base.tol.length)
+
+    def test_cover_and_tie_exceed_relative_parts_by_rounding_terms(self, cases):
+        # exact arithmetic; u bounds the relative error of each float operation
+        eps = Fraction(np.finfo(float).eps)
+        u = eps / 2
+        for _, _, _, poly in cases:
+            d, mag = Fraction(poly.diameter), Fraction(float(np.abs(poly.coords).max()))
+            for got, rel, rounding in (
+                    (poly.tol.cover, Fraction(TOL_COVER_REL) * d,
+                     Fraction(ROUNDING_COVER) * eps * (mag + d)),
+                    (poly.tol.tie, Fraction(TOL_LEN_REL) * d, 4 * eps * mag)):
+                assert abs(Fraction(got) - rel - rounding) <= 4 * u * (rel + rounding)
+
+
+def _tolerance_builds(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that multiply a TOL_*_REL name by a ``.diameter``
+    attribute, or call ``finfo`` (the machine epsilon of a rounding term)."""
+    def holds(node, test):
+        return any(test(n) for n in ast.walk(node))
+
+    def rel(n):
+        return isinstance(n, ast.Name) and re.fullmatch(r"TOL_\w+_REL", n.id) is not None
+
+    def diameter(n):
+        return isinstance(n, ast.Attribute) and n.attr == "diameter"
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if any(holds(a, rel) and holds(b, diameter)
+                   for a, b in ((node.left, node.right), (node.right, node.left))):
+                out.append(node.lineno)
+        elif isinstance(node, ast.Call) and "finfo" in (getattr(node.func, "attr", None),
+                                                          getattr(node.func, "id", None)):
+            out.append(node.lineno)
+    return out
+
+
+def test_only_geometry_builds_polygon_tolerances():
+    """Polygon-scaled tolerances are read from ``poly.tol``; no other
+    module builds one from a diameter or a machine epsilon."""
+    found = {f.name: _tolerance_builds(ast.parse(f.read_text()))
+             for f in sorted(SRC.glob("*.py")) if f.name != "geometry.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    probe = "x = TOL_LEN_REL * poly.diameter + np.finfo(float).eps"
+    assert _tolerance_builds(ast.parse(probe)) == [1, 1]
 
 
 class TestMinWidth:

@@ -112,7 +112,7 @@ class TestInscribedCircle:
             c = np.array(circ.center)
             dist = m @ c - o
             for i in circ.touching_edges:
-                assert dist[i] - circ.radius <= poly.tol_touch
+                assert dist[i] - circ.radius <= TOL_TOUCH_REL * poly.diameter
             # the three closest constraints (or an antipodal pair) pin the
             # circle, so at least two edges must touch
             assert len(circ.touching_edges) >= 2
@@ -214,7 +214,7 @@ def ref_incircle(poly):
     c = max(candidates, key=lambda cc: tuple(np.sort(m @ cc - o)))
     dist = m @ c - o
     r = float(dist.min())
-    return c, r, frozenset(int(i) for i in np.nonzero(dist - r <= poly.tol_touch)[0])
+    return c, r, frozenset(int(i) for i in np.nonzero(dist - r <= TOL_TOUCH_REL * poly.diameter)[0])
 
 
 def test_basis_center_matches_polished_reference(ratio_polys, small_polys):

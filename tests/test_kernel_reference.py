@@ -99,7 +99,7 @@ def ref_u_metrics(poly, theta):
     nrm = np.array([-math.sin(theta), math.cos(theta)])
     s = poly.coords @ u
     t = poly.coords @ nrm
-    eps = poly.tol_geom
+    eps = poly.tol.geom
     left = np.nonzero(s <= s.min() + eps)[0]
     right = np.nonzero(s >= s.max() - eps)[0]
     i1 = int(left[np.argmin(t[left])])
@@ -169,7 +169,7 @@ SHAPES = {
     "ngon-6": lambda: regular_ngon(6),
     "ngon-511": lambda: regular_ngon(511),
     "ngon-512": lambda: regular_ngon(512),
-    # a bottom chain within tol_geom of a line: long contact runs
+    # a bottom chain within tol.geom of a line: long contact runs
     "flat-chain": lambda: validate_polygon(
         [(x, 1e-9 * x * (x - 1.0)) for x in np.linspace(0.0, 1.0, 9)] + [(0.5, 1.0)]),
     "thin-rect": lambda: validate_polygon([(0, 0), (1000, 0), (1000, 1), (0, 1)]),
@@ -246,6 +246,6 @@ def test_support_window_matches_all_vertices():
         phi = rng.uniform(0.0, 2.0 * math.pi, 64)
         ux = np.concatenate([m[:, 0], -m[:, 0], -m[:, 1], m[:, 1], np.cos(phi)])
         uy = np.concatenate([m[:, 1], -m[:, 1], m[:, 0], -m[:, 0], np.sin(phi)])
-        for eps in (0.0, poly.tol_geom):
+        for eps in (0.0, poly.tol.geom):
             widened += check_support_window(poly, ux, uy, eps) > 2
     assert widened

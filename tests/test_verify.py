@@ -19,7 +19,7 @@ from opaque import (
     validate_polygon,
 )
 from opaque.geometry import PolygonError
-from opaque.verify import _component_points, projections_cover, tol_cover
+from opaque.verify import _component_points, projections_cover
 
 from conftest import cover_at, truncated
 
@@ -107,7 +107,7 @@ class TestIsOpaque:
         assert w.theta == pytest.approx(math.pi / 2, abs=1e-6)
         assert 0.0 < w.representative_offset < 1.0 or \
             -1.0 < w.representative_offset < 0.0
-        assert w.uncovered.length > tol_cover(square)
+        assert w.uncovered.length > square.tol.cover
 
     def test_witness_line_misses_barrier(self, square, ratio_polys):
         # delete one polyline from a verified barrier and check the witness
@@ -134,8 +134,8 @@ class TestIsOpaque:
                 for a, b in mutant.segments():
                     lo, hi = sorted((float(np.array(a) @ nrm),
                                      float(np.array(b) @ nrm)))
-                    assert not (lo - tol_cover(poly) < w.representative_offset
-                                < hi + tol_cover(poly))
+                    assert not (lo - poly.tol.cover < w.representative_offset
+                                < hi + poly.tol.cover)
 
     def test_monotone_under_additions(self, square):
         sol = algo_a1(square)
@@ -151,7 +151,7 @@ class TestIsOpaque:
 @pytest.mark.parametrize("shift", [1e6, 1e9])
 def test_far_translated_hulls(shift):
     # projections of coordinates near shift * diameter round by about
-    # eps * shift * diameter, which tol_cover's rounding term absorbs
+    # eps * shift * diameter, which tol.cover's rounding term absorbs
     rng = np.random.default_rng(7)
     direction = np.array([math.cos(1.0), math.sin(1.0)])
     kept = 0
@@ -170,7 +170,7 @@ def test_far_translated_hulls(shift):
             assert not report.opaque
             w = report.witness
             nrm = np.array([-math.sin(w.theta), math.cos(w.theta)])
-            tol = tol_cover(poly)
+            tol = poly.tol.cover
             pproj = poly.coords @ nrm
             assert pproj.min() + tol < w.representative_offset < pproj.max() - tol
             for a, b in mutant.segments():

@@ -4,8 +4,8 @@ A line that misses the barrier's hull misses the barrier, so a polygon
 vertex outside that hull must give the direction scan's non-opaque
 verdict, with a witness that holds on its own (``assert_witness``).  A
 line misses a connected set iff it misses the set's convex hull, and a
-line separating two hulls within tol_cover of each other sees a gap of at
-most tol_cover, so the hull certificate must give the scan's verdict on
+line separating two hulls within tol.cover of each other sees a gap of at
+most tol.cover, so the hull certificate must give the scan's verdict on
 every barrier whose component hulls form one connected touch graph; and
 one component projects to a single interval, so scanning components must
 give the per-polyline scan's first gaps, bit for bit, when both read the
@@ -32,7 +32,7 @@ from opaque import (
     random_convex_polygon,
     validate_polygon,
 )
-from opaque.verify import _component_points, _hull_frame, _hulls_touch, _scan, _sweep, tol_cover
+from opaque.verify import _component_points, _hull_frame, _hulls_touch, _scan, _sweep
 
 from conftest import assert_witness, truncated
 
@@ -84,7 +84,7 @@ def assert_matches_scan(poly, barrier):
         assert report.witness == scanned.witness
         assert report.directions_tested == scanned.directions_tested
     elif not report.opaque:
-        assert report.min_slack < -tol_cover(poly) and report.directions_tested == 0
+        assert report.min_slack < -poly.tol.cover and report.directions_tested == 0
         assert_witness(poly, barrier, report, scanned.witness.uncovered.length)
     return report, scanned
 
@@ -214,14 +214,14 @@ def split_bottom(gap):
 
 
 def test_touching_within_tolerance_is_certified(square):
-    report, _ = assert_matches_scan(square, Barrier(split_bottom(0.5 * tol_cover(square)),
+    report, _ = assert_matches_scan(square, Barrier(split_bottom(0.5 * square.tol.cover),
                                                     "arbitrary"))
     assert (report.opaque, report.certificate, report.directions_tested) == (True, "hull", 0)
     assert report.min_slack == 0.0
 
 
 def test_gap_wider_than_tolerance_is_scanned(square):
-    gap = 2.0 * tol_cover(square)
+    gap = 2.0 * square.tol.cover
     report, _ = assert_matches_scan(square, Barrier(split_bottom(gap), "arbitrary"))
     assert not report.opaque and report.certificate == "directions"
     # the witness line crosses y = 0 inside the hole
@@ -231,7 +231,7 @@ def test_gap_wider_than_tolerance_is_scanned(square):
 
 
 def test_one_point_component(square):
-    tol = tol_cover(square)
+    tol = square.tol.cover
     left, right = split_bottom(1.5 * tol)
     # a point in the hole, within tol of both sides, joins the touch graph
     bridge = Barrier((left, right, ((0.5 + 0.75 * tol, 0),) * 2), "arbitrary")
@@ -262,7 +262,7 @@ def test_components_apart_wider_than_the_support_gap(square):
 
 
 def test_collinear_segments(square):
-    tol = tol_cover(square)
+    tol = square.tol.cover
     # two collinear segments: their hull is a segment, which the square's
     # top vertices lie outside, and the touch test takes segment hulls
     # without raising
@@ -306,7 +306,7 @@ def test_component_gaps_match_per_polyline(seed, n):
     nrm = np.vstack([-np.sin(thetas), np.cos(thetas)])
     pproj, proj = poly.coords @ nrm, pts @ nrm
     plo, phi = pproj.min(axis=0), pproj.max(axis=0)
-    tol = tol_cover(poly)
+    tol = poly.tol.cover
     per_polyline = [proj[[row[p] for p in pl]] for pl in barrier.polylines]
     want = _sweep(plo, phi, np.array([q.min(axis=0) for q in per_polyline]),
                   np.array([q.max(axis=0) for q in per_polyline]), tol)
@@ -338,7 +338,7 @@ def test_hull_certificate_is_euclidean_at_corners(square):
     # a rectangle barrier short of the square's corner (1, 1) by d along
     # both axes: each vertex is at most d outside a hull edge line, but
     # the corner is sqrt(2) d from the hull
-    tol = tol_cover(square)
+    tol = square.tol.cover
     for share, opaque in ((0.6, True), (0.8, False)):
         d = share * tol
         ring = ((-1, -1), (1 - d, -1), (1 - d, 1 - d), (-1, 1 - d), (-1, -1))

@@ -31,8 +31,8 @@ from opaque import (
     make_fixture,
     validate_polygon,
 )
-from opaque.geometry import TOL_ANG, TOL_LEN_REL, Interval, unit_normal
-from opaque.verify import TOL_COVER_REL, _component_points
+from opaque.geometry import TOL_ANG, TOL_COVER_REL, TOL_LEN_REL, Interval, unit_normal
+from opaque.verify import _component_points
 
 from conftest import assert_witness, cover_at, regular_ngon, truncated
 
