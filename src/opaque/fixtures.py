@@ -10,7 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import Barrier
-from .geometry import ConvexPolygon, Point2, TooFewVertices, validate_polygon
+from .geometry import (
+    TOL_GEOM_REL,
+    ConvexPolygon,
+    Point2,
+    TooFewVertices,
+    validate_polygon,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -163,12 +169,16 @@ def _clip(pts: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
             t = d[i] / (d[i] - d[j])
             out.append(pts[i] + t * (pts[j] - pts[i]))
     arr = np.array(out)
-    # drop near-duplicate consecutive points introduced by the clip
+    # drop consecutive points the clip puts within validation's duplicate
+    # bound (TOL_GEOM_REL times the coordinate span) of each other; a later
+    # clip only shrinks the span, so every kept point passes validation
+    x, y = arr.T
+    tol_dup = TOL_GEOM_REL * float(np.hypot(x.max() - x.min(), y.max() - y.min()))
     keep = [0]
     for i in range(1, len(arr)):
-        if np.hypot(*(arr[i] - arr[keep[-1]])) > 1e-9:
+        if np.hypot(*(arr[i] - arr[keep[-1]])) > tol_dup:
             keep.append(i)
-    if np.hypot(*(arr[keep[-1]] - arr[keep[0]])) <= 1e-9:
+    if np.hypot(*(arr[keep[-1]] - arr[keep[0]])) <= tol_dup:
         keep.pop()
     return arr[keep]
 

@@ -28,6 +28,11 @@ from .geometry import (
 )
 
 
+# cosine of a unit edge normal with a binding pair's mid-line below which
+# the edge counts as parallel to the mid-line and bounds no center on it
+TOL_PARALLEL = 1e-14
+
+
 @dataclass(frozen=True)
 class InscribedCircle:
     center: Point2
@@ -138,9 +143,9 @@ def _pair_center(m: np.ndarray, o: np.ndarray, c0: np.ndarray, r: float,
     d = np.array([-m[i, 1], m[i, 0]])
     along = m @ d
     base = m @ c0 - o - r
-    # feasibility along the mid-line: along * s + base >= 0; edges nearly
-    # parallel to it bound nothing
-    up, down = along >= 1e-14, along <= -1e-14
+    # feasibility along the mid-line: along * s + base >= 0; edges within
+    # TOL_PARALLEL of parallel to it bound nothing
+    up, down = along >= TOL_PARALLEL, along <= -TOL_PARALLEL
     lo = float((-base[up] / along[up]).max(initial=-math.inf))
     hi = float((-base[down] / along[down]).min(initial=math.inf))
     if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:

@@ -1,14 +1,17 @@
 """Euclidean Steiner constructions: three-point Fermat stars on plain
-floats, minimum spanning trees (Prim's algorithm in O(n^2) time and O(n)
-memory), an exact four-terminal solver (Melzak's construction), and a
-star-merging heuristic for larger terminal sets in convex position that
-keeps its candidate merges in a heap of gains.
+floats, minimum spanning trees of polygon vertices (Kruskal over Chew's
+Delaunay triangulation of points in convex position, O(n log n) time and
+O(n) memory, with Prim's tree and length bits), an exact four-terminal
+solver (Melzak's construction), and a star-merging heuristic for larger
+terminal sets in convex position that keeps its candidate merges in a heap
+of gains.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
 import sys
 
 import numpy as np
@@ -33,6 +36,9 @@ _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 # one `steiner_three_points` tests can differ, so the two always agree
 _WIDE_MARGIN = 1e-6
 _COS_WIDE = math.cos(_TWO_THIRDS_PI + _WIDE_MARGIN)
+# squared lengths farther apart than this factor have rounded square roots
+# apart too: each root is rounded by at most 2**-53 of itself
+_APART = 1.0 + 2.0 ** -40
 
 
 def steiner_three_points(a, b, c) -> tuple[Point2, int | None]:
@@ -99,56 +105,224 @@ def _outward_apex(q, r, opposite) -> tuple[float, float]:
 
 
 def euclidean_mst(points) -> tuple[list[tuple[int, int]], float]:
-    """Minimum spanning tree of the complete Euclidean graph: its edges
-    (i, j), i < j, in ascending order, and its total length.
+    """Minimum spanning tree of the complete Euclidean graph on the vertices
+    of a strictly convex counterclockwise polygon, or on any 1 to 3 points:
+    its edges (i, j), i < j, in ascending order, and its total length.
 
-    Prim's algorithm adds one vertex per step and keeps O(n) memory.  Edges
-    are ordered strictly by (length, i, j), with length the rounded
+    Edges are ordered strictly by (length, i, j), with length the rounded
     sqrt(dx*dx + dy*dy), so the tree is unique even where lengths tie (as
-    on regular polygons) and does not depend on the order of the steps.
+    on regular polygons); it is Prim's tree in that order.  Kruskal's
+    algorithm takes the edges of the vertices' Delaunay triangulation
+    (``_convex_delaunay``, which holds every edge of the tree) in that order,
+    2n - 3 of them, and the kept lengths are summed in ascending (i, j)
+    order.  O(n log n) time (the sort; the triangulation takes O(n)
+    expected time) and O(n) memory.  Four or more points that are not such
+    a cycle raise ValueError.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    # best[v] and end[v]: length and tree end of the lightest edge from v to
-    # the tree.  A tree vertex gets NaN coordinates, so no comparison updates
-    # it, and best = inf, so argmin never picks it.
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
-    best = np.full(n, np.inf)
-    end = np.zeros(n, dtype=np.intp)
-    u = 0
-    found = []
-    for _ in range(n - 1):
-        ux, uy = x[u], y[u]
-        x[u] = y[u] = np.nan
-        dx = x - ux
-        dy = y - uy
-        dx *= dx
-        dy *= dy
-        d = dx + dy
-        np.sqrt(d, out=d)
-        # equal lengths are rare off regular polygons: order them by index
-        # only where == finds one
-        tie = d == best
-        if np.count_nonzero(tie):
-            for v in np.flatnonzero(tie).tolist():
-                e = int(end[v])
-                if (min(u, v), max(u, v)) < (min(e, v), max(e, v)):
-                    end[v] = u
-        closer = d < best
-        np.copyto(best, d, where=closer)
-        np.copyto(end, u, where=closer)
-        k = int(best.argmin())
-        w = best[k]
-        if n - 1 - int(best[::-1].argmin()) != k:  # the minimum is not unique
-            k = min(np.flatnonzero(best == w).tolist(),
-                    key=lambda v: (min(v, int(end[v])), max(v, int(end[v]))))
-        p = int(end[k])
-        found.append((min(k, p), max(k, p), w))
-        best[k] = np.inf
-        u = k
-    found.sort()
-    return [(i, j) for i, j, _ in found], float(np.sum([w for _, _, w in found]))
+    x, y = pts[:, 0], pts[:, 1]
+    if n <= 3:
+        lo, hi = np.triu_indices(n, 1)
+    else:
+        _check_convex_cycle(pts)
+        lo, hi = _convex_delaunay(x.tolist(), y.tolist())
+    dx = x[hi] - x[lo]
+    dy = y[hi] - y[lo]
+    length = np.sqrt(dx * dx + dy * dy)
+    # the edges come in ascending (i, j), so a stable sort by length is
+    # Prim's order, np.lexsort((hi, lo, length)); union-find halves paths
+    rank = np.argsort(length, kind="stable").tolist()
+    los, his = lo.tolist(), hi.tolist()
+    root = list(range(n))
+    keep = []
+    for k in rank:
+        i, j = los[k], his[k]
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        if i != j:
+            root[i] = j
+            keep.append(k)
+            if len(keep) == n - 1:
+                break
+    keep.sort()
+    sel = np.array(keep, dtype=np.intp)
+    return list(zip(lo[sel].tolist(), hi[sel].tolist())), float(np.sum(length[sel]))
+
+
+def _check_convex_cycle(pts: np.ndarray) -> None:
+    """Raise ValueError unless the points turn strictly left at every
+    vertex and their edge directions go once around: they turn from below
+    the direction of +x to above it once."""
+    dx, dy = np.diff(pts, axis=0, append=pts[:2]).T
+    below = dy < 0.0
+    if not ((dx[:-1] * dy[1:] - dy[:-1] * dx[1:]).min() > 0.0
+            and np.count_nonzero(below[:-1] > below[1:]) == 1):
+        raise ValueError("4 or more points must be the vertices of a strictly convex "
+                         "counterclockwise polygon")
+
+
+def _insertion_order(n: int) -> list[int]:
+    """Chew's random deletion order of n vertices, from a generator seeded
+    by n, so a call does not depend on global state."""
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    return order
+
+
+def _convex_delaunay(x: list[float], y: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (lo, hi), lo < hi, in ascending order, of a Delaunay
+    triangulation of the vertices of a convex counterclockwise polygon
+    (n >= 4), by Chew's algorithm (L. P. Chew, "Building Voronoi diagrams
+    for convex polygons in linear expected time", 1990).  The vertices are
+    deleted from the cycle in the order ``_insertion_order(n)``, each
+    recording its two neighbours, and reinserted in reverse: a vertex v
+    comes back as the triangle on the hull edge between its recorded
+    neighbours, followed by Lawson flips of the edges opposite v.  A
+    counterclockwise triangle (u, v, w) is kept as three entries of one
+    dict, apex[u * n + v] = w and its rotations.  Insertions make O(1)
+    flips in expectation, so the whole takes O(n) expected time.
+
+    Why the float flip test keeps Prim's tree.  Prim's tree is the MST in
+    the strict order (rounded length, i, j).  By the cycle property an edge
+    ab is in no such tree when some point p makes both pa and pb come before
+    ab (a witness), and then in no such tree of any set holding a, b and p.
+    In exact lengths, an edge of the tree has no other point in its closed
+    diametral disk, so it is an edge of every exact Delaunay triangulation.
+
+    A flip test keeps one diagonal of a convex quadrilateral (v, a, z, b)
+    and drops the other: ab is flipped to vz when v lies inside the circle
+    through b, a and z, by the sign of the incircle determinant in floats.
+    The dropped diagonal must show a witness, whatever the sign: a corner
+    whose squared lengths to its ends are smaller than the diagonal's by
+    the factor ``_APART``, so that their rounded roots come first too.  The
+    exact test always drops a diagonal with a witness in exact lengths (its
+    two opposite angles sum to more than pi, so one is wider than pi/2),
+    and the float sign differs from it only where the quadrilateral is
+    cocircular to rounding (within Shewchuk's error bound, "Adaptive
+    precision floating-point arithmetic and fast robust geometric
+    predicates", 1997).  There each diagonal has an end whose angle is
+    nearly pi/2 or wider, so both have witnesses and either may go.  An
+    exact test of those would cost more than Prim's scan: on the regular
+    512-gon most tests fall within the bound.  The squared lengths miss a
+    witness only where a side is short against the diagonal (below about
+    1e-6 of it); ``_tied_flip`` then compares Prim's keys, which miss one
+    only where lengths tie to rounding (a side below about 3e-8 of the
+    diagonal).  It drops the diagonal that has a witness there, follows the
+    sign if both have one, and with neither the exact test decides.  So no
+    test drops an edge of Prim's tree that the exact run would keep.  This
+    argues one test at a time: after a choice inside the bound the run
+    goes on from a triangulation the exact run may not reach.
+    ``tests/test_steiner.py`` checks edges and length bits against Prim on
+    regular n-gons, a thin, far-translated sweep and thin quadrilaterals
+    with sides down to 1e-9 of the diagonal, in two insertion orders.
+    """
+    n = len(x)
+    order = _insertion_order(n)
+    prev = list(range(-1, n - 1))
+    prev[0] = n - 1
+    nxt = list(range(1, n + 1))
+    nxt[-1] = 0
+    gone = order[:n - 3]
+    ends = []
+    for v in gone:
+        u, w = prev[v], nxt[v]
+        ends.append((u, w))
+        nxt[u] = w
+        prev[w] = u
+    a = order[-1]
+    b = nxt[a]
+    c = nxt[b]
+    apex = {a * n + b: c, b * n + c: a, c * n + a: b}
+    get = apex.get
+    for v, (u, w) in zip(reversed(gone), reversed(ends)):
+        apex[u * n + v] = w
+        apex[v * n + w] = u
+        apex[w * n + u] = v
+        vx, vy = x[v], y[v]
+        todo = [(w, u)]   # edges ab of triangles (v, a, b)
+        while todo:
+            a, b = todo.pop()
+            z = get(b * n + a)
+            if z is None:   # a hull edge
+                continue
+            # incircle(b, a, z, v), with the lifts |vb|^2, |va|^2, |vz|^2
+            bx, by = x[b] - vx, y[b] - vy
+            ax, ay = x[a] - vx, y[a] - vy
+            zx, zy = x[z] - vx, y[z] - vy
+            vb2 = bx * bx + by * by
+            va2 = ax * ax + ay * ay
+            vz2 = zx * zx + zy * zy
+            det = vb2 * (ax * zy - zx * ay) + va2 * (zx * by - bx * zy) + vz2 * (bx * ay - ax * by)
+            # the dropped diagonal, ab on a flip and vz otherwise, needs a
+            # witness in the squared lengths, or else in Prim's keys
+            ex, ey = x[z] - x[a], y[z] - y[a]
+            za2 = ex * ex + ey * ey
+            ex, ey = x[z] - x[b], y[z] - y[b]
+            zb2 = ex * ex + ey * ey
+            flip = det > 0.0
+            if flip:
+                ex, ey = x[a] - x[b], y[a] - y[b]
+                cut = (ex * ex + ey * ey) / _APART
+                shown = (va2 < cut and vb2 < cut) or (za2 < cut and zb2 < cut)
+            else:
+                cut = vz2 / _APART
+                shown = (va2 < cut and za2 < cut) or (vb2 < cut and zb2 < cut)
+            if not shown:
+                flip = _tied_flip(x, y, v, a, z, b, det)
+            if not flip:
+                continue
+            # flip ab to vz: (v, a, b) and (b, a, z) become (v, a, z) and (v, z, b)
+            del apex[a * n + b]
+            del apex[b * n + a]
+            apex[v * n + a] = z
+            apex[a * n + z] = v
+            apex[z * n + v] = a
+            apex[v * n + z] = b
+            apex[z * n + b] = v
+            apex[b * n + v] = z
+            todo.append((a, z))
+            todo.append((z, b))
+    # an inner edge is a key in both directions, a hull edge in its
+    # counterclockwise one: (i, i + 1), and (n - 1, 0), keyed as (0, n - 1)
+    apex[n - 1] = apex.pop(n * n - n)
+    i, j = np.divmod(np.sort(np.fromiter(apex, dtype=np.intp, count=len(apex))), n)
+    inner = i < j
+    return i[inner], j[inner]
+
+
+def _prim_key(x, y, i: int, j: int) -> tuple[float, int, int]:
+    """Edge ij's place in Prim's order."""
+    dx, dy = x[i] - x[j], y[i] - y[j]
+    return math.sqrt(dx * dx + dy * dy), min(i, j), max(i, j)
+
+
+def _tied_flip(x, y, v: int, a: int, z: int, b: int, det: float) -> bool:
+    """Flip ab to vz in the quadrilateral (v, a, z, b), for a test whose
+    dropped diagonal showed no witness in the squared lengths: drop the
+    diagonal that has a witness in Prim's keys, follow the float sign
+    ``det`` if both have one, and take the exact incircle test if neither
+    has."""
+    ab, vz = _prim_key(x, y, a, b), _prim_key(x, y, v, z)
+    va, vb = _prim_key(x, y, v, a), _prim_key(x, y, v, b)
+    za, zb = _prim_key(x, y, z, a), _prim_key(x, y, z, b)
+    ab_out = (va < ab and vb < ab) or (za < ab and zb < ab)
+    vz_out = (va < vz and za < vz) or (vb < vz and zb < vz)
+    if ab_out != vz_out:
+        return ab_out
+    if ab_out:
+        return det > 0.0
+    # no benchmark input gets here; fractions (and decimal) would add 3.5 ms
+    # to the package import
+    from fractions import Fraction
+
+    vx, vy = Fraction(x[v]), Fraction(y[v])
+    (bx, by), (ax, ay), (zx, zy) = ((Fraction(x[k]) - vx, Fraction(y[k]) - vy) for k in (b, a, z))
+    det = ((bx * bx + by * by) * (ax * zy - zx * ay) + (ax * ax + ay * ay) * (zx * by - bx * zy)
+           + (zx * zx + zy * zy) * (bx * ay - ax * by))
+    return det > 0
 
 
 def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
@@ -156,8 +330,10 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
 
     Exact for up to 4 terminals; beyond that an MST improved by greedy
     Fermat-star merging (an upper bound within the Steiner-ratio sandwich
-    of the optimum).  Returns (nodes, edges, length, exact_flag); nodes
-    start with the terminals, junction points follow.
+    of the optimum), for terminals that are the vertices of a strictly
+    convex counterclockwise polygon (``euclidean_mst`` raises ValueError
+    otherwise).  Returns (nodes, edges, length, exact_flag); nodes start
+    with the terminals, junction points follow.
     """
     xy = read_points(points, "terminals")
     pts = list(map(Point2._make, xy.tolist()))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial.distance import pdist, squareform
 
 from opaque import Barrier, random_convex_polygon, validate_polygon
 from opaque.geometry import ROUNDING_COVER, Interval, unit_normal
@@ -56,6 +59,61 @@ def regular_ngon(n, r=1.0):
     return validate_polygon([
         (r * math.cos(2 * math.pi * k / n), r * math.sin(2 * math.pi * k / n))
         for k in range(n)])
+
+
+def ref_mst(points):
+    """The MST as first written: the dense distance matrix and scipy's
+    Kruskal, which breaks length ties by (i, j).  The matrix goes in as a
+    sparse array, because scipy reads dense entries below 1e-8 as missing
+    edges (so a polygon scaled by 1e-6 got a longer tree)."""
+    dm = squareform(pdist(np.asarray(points, dtype=float)))
+    tree = minimum_spanning_tree(csr_array(dm)).tocoo()
+    return [(int(i), int(j)) for i, j in zip(tree.row, tree.col)], float(tree.data.sum())
+
+
+def prim_mst(points):
+    """The bit-exact MST reference, for points in any position: Prim's
+    algorithm, one vertex per step in O(n^2) time, with edges ordered
+    strictly by (length, i, j), length the rounded sqrt(dx*dx + dy*dy).
+    Returns the edges (i, j), i < j, ascending, and the lengths summed by
+    ``np.sum`` in that order."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    # best[v] and end[v]: length and tree end of the lightest edge from v to
+    # the tree.  A tree vertex gets NaN coordinates, so no comparison updates
+    # it, and best = inf, so the minimum never picks it.
+    x = pts[:, 0].copy()
+    y = pts[:, 1].copy()
+    best = np.full(n, np.inf)
+    end = np.zeros(n, dtype=np.intp)
+    u = 0
+    found = []
+    for _ in range(n - 1):
+        ux, uy = x[u], y[u]
+        x[u] = y[u] = np.nan
+        dx = x - ux
+        dy = y - uy
+        dx *= dx
+        dy *= dy
+        d = dx + dy
+        np.sqrt(d, out=d)
+        # a tie with the best edge so far goes to the smaller (i, j)
+        for v in np.flatnonzero(d == best).tolist():
+            e = int(end[v])
+            if (min(u, v), max(u, v)) < (min(e, v), max(e, v)):
+                end[v] = u
+        closer = d < best
+        np.copyto(best, d, where=closer)
+        np.copyto(end, u, where=closer)
+        w = best.min()
+        k = min(np.flatnonzero(best == w).tolist(),
+                key=lambda v: (min(v, int(end[v])), max(v, int(end[v]))))
+        p = int(end[k])
+        found.append((min(k, p), max(k, p), w))
+        best[k] = np.inf
+        u = k
+    found.sort()
+    return [(i, j) for i, j, _ in found], float(np.sum([w for _, _, w in found]))
 
 
 def cover_at(poly, barrier, theta):

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from opaque.geometry import (
     TOL_LEN_REL,
     PolygonError,
     polyline_length,
+    read_points,
 )
 
 from conftest import regular_ngon
@@ -139,6 +141,83 @@ class TestValidation:
         poly = validate_polygon(pts)
         assert [tuple(v) for v in poly.vertices] == [(1.0, 0.0), (1.0, 1.0),
                                                      (0.0, 1.0), (0.0, 0.0)]
+
+
+def array_read(points, what="points", error=ValueError):
+    """``read_points`` as one ``np.array`` call, as it read every input
+    before its entry-by-entry path."""
+    try:
+        arr = np.array(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be (x, y) pairs of numbers: {exc}") from None
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise error(f"{what} must be (x, y) pairs, got an array of shape {arr.shape}")
+    return arr
+
+
+class TestReadPoints:
+    @pytest.mark.parametrize("points", [
+        ((0.5, -1.25), (3.0, 4.0), (1e300, -5e-324)),
+        [[0.5, -1.25], [3.0, 4.0]],
+        [Point2(0.1, 0.2), Point2(-3.5, 7.0)],
+        [(1, 2), (2 ** 60 + 1, -3)],
+        [(True, False), (1, 0.5)],
+        [(np.float32(0.1), np.int64(7)), (np.float64(0.3), np.uint8(200))],
+        [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(10 ** 30, 3), 1)],
+        [(Decimal("0.1"), Decimal("1e-400")), (Decimal(2), 3)],
+        [("1.5", "-2e-3"), ("7", " 8 ")],
+        [(0, 1), [2, 3], Point2(4, 5)],
+        [],
+        (),
+    ], ids=["tuples", "lists", "Point2", "ints", "bools", "numpy-scalars",
+            "Fraction", "Decimal", "numeric-strings", "mixed", "empty-list", "empty-tuple"])
+    @pytest.mark.parametrize("copies", [1, 8], ids=["few", "entrywise"])
+    def test_equals_np_array_bit_for_bit(self, points, copies):
+        # eight copies reach the entry-by-entry read's 16 points
+        points = points * copies
+        got, want = read_points(points), array_read(points)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda: [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+        lambda: [(0,), (1,), (2,)],
+        lambda: [(0, 0), (1, 0), (0,)],
+        lambda: [(0, 0), (1, 0), ("x", 1)],
+        lambda: [(0, 0), (1, 0), (object(), 1)],
+        lambda: [0, 1, 2],
+        lambda: [[]],
+        lambda: [("a", 0), (1, 0), (0, 1)],
+        lambda: ["12", "34", "56"],
+        lambda: [b"12", b"34", b"56"],
+        lambda: [{0: 1, 1: 2}, {0: 3, 1: 4}, {0: 5, 1: 6}],
+        lambda: [{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}],
+        lambda: iter([(0, 0), (1, 0), (0, 1)]),
+        lambda: ((x, x * x) for x in range(3)),
+        lambda: [(0, 0), (1, 0), ((0, 1), 1)],
+    ], ids=["3d", "1d", "ragged", "text", "object", "flat", "empty-point",
+            "text-first", "str-points", "bytes-points", "dict-points", "set-points",
+            "iterator", "generator", "nested"])
+    @pytest.mark.parametrize("lead", [0, 16], ids=["few", "entrywise"])
+    def test_errors_unchanged(self, make, lead):
+        # 16 good points ahead of a list reach the entry-by-entry read
+        def points():
+            bad = make()
+            return [(0.5, 0.25)] * lead + bad if lead and isinstance(bad, list) else bad
+
+        for what, error in (("terminals", ValueError), ("vertices", PolygonError)):
+            with pytest.raises(error) as want:
+                array_read(points(), what, error)
+            with pytest.raises(error) as got:
+                read_points(points(), what, error)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(PolygonError) as got:
+            validate_polygon(points())
+        assert str(got.value) == str(want.value)
 
 
 class TestBasics:

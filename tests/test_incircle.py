@@ -22,7 +22,7 @@ from opaque import (
     validate_polygon,
 )
 from opaque.geometry import TOL_ANG, TOL_TOUCH_REL, TWO_PI
-from opaque.incircle import _pair_center, _tangent_triple
+from opaque.incircle import TOL_PARALLEL, _pair_center, _tangent_triple
 
 from conftest import regular_ngon
 
@@ -408,3 +408,23 @@ def test_tangent_triple_spans_when_any_triple_does(ang):
     if pick is not None:
         assert pick[0] < pick[1] < pick[2] and spans(ang, *pick)
     assert (pick is not None) == any(spans(ang, *c) for c in itertools.combinations(range(len(ang)), 3))
+
+
+@pytest.mark.parametrize("a_off, b_off, s", [(1.5, 0.5, 3.0), (0.5, 1.5, -0.75)],
+                         ids=["a-bounds", "b-bounds"])
+def test_pair_center_parallel_band(a_off, b_off, s):
+    # The binding pair y >= -1, -y >= -1 (r = 1) has the x axis as mid-line,
+    # run along d = (-1, 0) from c0 = 0; walls at x = -5 and x = 5 leave the
+    # centers s in [-4, 4].  Edge A is a_off * TOL_PARALLEL off parallel to
+    # the mid-line and cuts it at s = 2 from below, edge B is b_off *
+    # TOL_PARALLEL off and cuts it at s = 2.5 from above: only the edge
+    # outside the band bounds the interval, whose midpoint is s.
+    def edge(along, cut):
+        # normal with m . d = along; the line meets the mid-line at s = cut
+        return (-along, 1.0), cut * along - 1.0
+
+    (ma, oa), (mb, ob) = edge(a_off * TOL_PARALLEL, 2.0), edge(-b_off * TOL_PARALLEL, 2.5)
+    m = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0), ma, mb])
+    o = np.array([-1.0, -1.0, -5.0, -5.0, oa, ob])
+    c = _pair_center(m, o, np.zeros(2), 1.0, 0)
+    assert c == pytest.approx((-s, 0.0), abs=0.01)

@@ -150,6 +150,19 @@ def test_a1_and_verify_16384_read_only_the_array():
     assert peak_bytes(a1_then_verify, poly) < 3 * MB
 
 
+def test_interior_tree_16384():
+    # the MST comes from the convex Delaunay triangulation: Prim's O(n^2)
+    # scan took 1.6-2.1 s of the 2.3 s.  Measured on a 2-vCPU host: 0.30-0.48 s
+    # and a 12.6-12.7 MB peak
+    poly = regular_ngon(16384)
+    poly.diameter
+    t0 = time.perf_counter()
+    sol = interior_connected(poly)
+    assert time.perf_counter() - t0 < 1.0
+    assert sol.barrier.kind == "connected" and len(sol.barrier.sizes) == 16383
+    assert peak_bytes(interior_connected, poly) < 24 * MB
+
+
 def crossing_chain(k):
     """k segments, each crossing the next one and sharing no point with
     it: segment i runs from (0.9i, -+0.1) to (0.9i + 1, +-0.1)."""

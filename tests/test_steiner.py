@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,9 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import minimum_spanning_tree
-from scipy.spatial.distance import pdist, squareform
 
 from opaque import interior_connected, random_convex_polygon, steiner, validate_polygon
 from opaque.geometry import TOL_GEOM_REL, Point2
@@ -19,7 +17,7 @@ from opaque.steiner import (
     steiner_tree,
 )
 
-from conftest import regular_ngon
+from conftest import prim_mst, ref_mst, regular_ngon
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -164,16 +162,6 @@ class TestWideScreen:
         assert not fires(math.pi / 2)
 
 
-def ref_mst(points):
-    """The MST as first written: the dense distance matrix and scipy's
-    Kruskal, which breaks length ties by (i, j).  The matrix goes in as a
-    sparse array, because scipy reads dense entries below 1e-8 as missing
-    edges (so a polygon scaled by 1e-6 got a longer tree)."""
-    dm = squareform(pdist(np.asarray(points, dtype=float)))
-    tree = minimum_spanning_tree(csr_array(dm)).tocoo()
-    return [(int(i), int(j)) for i, j in zip(tree.row, tree.col)], float(tree.data.sum())
-
-
 def mst_corpus():
     """Regular polygons at three phases, every start vertex of the regular
     pentagon and random hulls up to 886 vertices, each also scaled by 1e-6
@@ -219,6 +207,105 @@ def test_mst_memory_is_linear():
     assert peak < 8 << 20
 
 
+def thin_sweep():
+    """Ellipse polygons of 3-39 vertices at random angles: aspect
+    10**U(-7, 0), any rotation and cyclic shift, scale 10**U(-3, 3), each
+    translated by 0, 1e3, 1e6 and 1e9 diameters in a random direction;
+    the copies validation accepts."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        t = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        pts = np.column_stack([np.cos(t), 10.0 ** rng.uniform(-7.0, 0.0) * np.sin(t)])
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(phi), math.sin(phi)
+        pts = pts @ np.array([[c, s], [-s, c]]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        pts = np.roll(pts, -int(rng.integers(n)), axis=0)
+        diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+        unit = rng.standard_normal(2)
+        unit /= np.hypot(*unit)
+        for shift in (0.0, 1e3, 1e6, 1e9):
+            moved = pts + shift * diam * unit
+            try:
+                validate_polygon(moved)
+            except ValueError:
+                continue
+            out.append(moved)
+    return out
+
+
+def thin_quads():
+    """Thin quadrilaterals that are not cocircular, in every cyclic
+    relabelling: two sides of 1e-9 to 3e-8 of the diagonals and two corners
+    moved by a few ulps, so that rounded lengths tie with the diagonals and
+    ``_tied_flip`` decides some flip tests, with the float determinant both
+    inside and outside Shewchuk's error bound."""
+    heights = np.geomspace(1e-9, 3e-8, 6).tolist()
+    out = []
+    for h1, h2 in itertools.product(heights, heights):
+        for k1, k2 in itertools.product(range(5), range(9)):
+            quad = [(-1.0 + k1 * 2.0 ** -53, h1), (-1.0, 0.0), (k2 * 2.0 ** -55, -h2), (0.0, 0.0)]
+            out += [np.roll(quad, k, axis=0) for k in range(4)]
+    return out
+
+
+@pytest.mark.parametrize("order_seed", [None, 1], ids=["default-order", "other-order"])
+def test_mst_edges_and_length_bits_equal_prim(monkeypatch, order_seed):
+    # Kruskal over the convex Delaunay triangulation against Prim's scan;
+    # the second run deletes and reinserts the vertices in another order
+    if order_seed is not None:
+        monkeypatch.setattr(steiner, "_insertion_order",
+                            lambda n: np.random.default_rng([order_seed, n]).permutation(n).tolist())
+    sweep = thin_sweep()
+    assert len(sweep) > 1000
+    ngons = [regular_ngon(n).coords for n in list(range(3, 65)) + [100, 127, 256, 512, 1024]]
+    # exactly cocircular thin rectangles, whose diagonals tie the long sides
+    # to rounding: Prim's keys decide their flips (_tied_flip)
+    rects = [np.roll([(0.0, h), (0.0, 0.0), (1.0, 0.0), (1.0, h)], k, axis=0)
+             for h in (1e-9, 1e-8, 1e-7, 1e-6) for k in range(4)]
+    for pts in sweep + ngons + rects + thin_quads():
+        edges, length = euclidean_mst(pts)
+        want_edges, want_length = prim_mst(pts)
+        assert edges == want_edges
+        assert length.hex() == want_length.hex()
+
+
+def test_tied_flip_without_witness_takes_the_exact_test():
+    # quadrilaterals (v, a, z, b), with (b, a, z) counterclockwise, in which
+    # neither diagonal has a witness: the flip must be "v inside the circle
+    # through b, a and z", whatever the float sign handed in
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 40:
+        pts = rng.uniform(-1.0, 1.0, (4, 2))
+        x, y = pts[:, 0].tolist(), pts[:, 1].tolist()
+
+        def key(i, j):
+            return steiner._prim_key(x, y, i, j)
+
+        v, a, z, b = range(4)
+        ab, vz = key(a, b), key(v, z)
+        if ((key(v, a) < ab and key(v, b) < ab) or (key(z, a) < ab and key(z, b) < ab)
+                or (key(a, v) < vz and key(a, z) < vz) or (key(b, v) < vz and key(b, z) < vz)):
+            continue
+        (bx, by), (ax, ay), (zx, zy) = pts[b], pts[a], pts[z]
+        if (ax - bx) * (zy - by) - (ay - by) * (zx - bx) <= 0.0:
+            continue
+        # circumcircle of b, a, z
+        d = 2.0 * (bx * (ay - zy) + ax * (zy - by) + zx * (by - ay))
+        ux = ((bx * bx + by * by) * (ay - zy) + (ax * ax + ay * ay) * (zy - by)
+              + (zx * zx + zy * zy) * (by - ay)) / d
+        uy = ((bx * bx + by * by) * (zx - ax) + (ax * ax + ay * ay) * (bx - zx)
+              + (zx * zx + zy * zy) * (ax - bx)) / d
+        r, dist = math.hypot(bx - ux, by - uy), math.hypot(pts[v, 0] - ux, pts[v, 1] - uy)
+        if abs(dist - r) <= 1e-9 * r:
+            continue
+        for det in (1.0, -1.0):
+            assert steiner._tied_flip(x, y, v, a, z, b, det) == (dist < r)
+        checked += 1
+
+
 class TestMst:
     def test_square(self):
         edges, length = euclidean_mst([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -227,6 +314,26 @@ class TestMst:
 
     def test_single_point(self):
         assert euclidean_mst([(2.0, 3.0)]) == ([], 0.0)
+
+    def test_up_to_three_points_in_any_position(self):
+        for pts in ([(0, 0), (3, 4)], [(0, 0), (1, 0), (3, 0)], [(0, 0), (0, 1), (1, 0)]):
+            assert euclidean_mst(pts) == prim_mst(pts)
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1, 0), (0.2, 0.2), (0, 1)],            # reflex vertex
+        [(0, 0), (0, 1), (1, 1), (1, 0)],                # clockwise
+        [(0, 0), (1, 0), (2, 0), (1, 1)],                # collinear
+        [(0, 0), (1, 0), (1, 1), (0, 0)],                # repeated vertex
+        [(math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5))
+         for k in range(5)],                             # pentagram: winds twice
+        np.random.default_rng(3).uniform(-1, 1, (12, 2)),  # general position
+    ], ids=["reflex", "clockwise", "collinear", "repeated", "pentagram", "random"])
+    def test_not_a_convex_cycle_raises(self, pts):
+        with pytest.raises(ValueError, match="strictly convex counterclockwise"):
+            euclidean_mst(pts)
+        if len(pts) > 4:
+            with pytest.raises(ValueError, match="strictly convex counterclockwise"):
+                steiner_tree(pts)
 
 
 class TestSteinerTree:
@@ -277,19 +384,22 @@ class TestSteinerTree:
                                method="Nelder-Mead",
                                options={"xatol": 1e-10, "fatol": 1e-12})
                 best = min(best, float(res.fun))
-            _, mst = euclidean_mst(pts)
+            _, mst = ref_mst(pts)
             best = min(best, mst)
             _, _, length, exact = steiner_tree(list(map(tuple, pts)))
             assert exact
             assert length <= best + 1e-6
             assert length >= SQRT3 / 2 * mst - 1e-9
 
-    def test_heuristic_sandwich(self):
+    def test_heuristic_sandwich(self, monkeypatch):
+        # points in general position: the package's MST takes only polygon
+        # vertices, so the star merge starts from the reference tree
+        monkeypatch.setattr(steiner, "euclidean_mst", ref_mst)
         rng = np.random.default_rng(32)
         for n in (5, 7, 10, 16):
             for _ in range(10):
                 pts = rng.uniform(-1, 1, (n, 2))
-                _, mst = euclidean_mst(pts)
+                _, mst = ref_mst(pts)
                 nodes, edges, length, exact = steiner_tree(list(map(tuple, pts)))
                 assert not exact
                 assert length <= mst + 1e-12

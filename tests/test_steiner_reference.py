@@ -17,7 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from opaque.steiner import _drop_degenerate, euclidean_mst, steiner_three_points, steiner_tree
+from opaque.steiner import _drop_degenerate, steiner_three_points, steiner_tree
+
+from conftest import ref_mst
 
 REL_LEN = 1e-12
 REL_PT = 1e-9
@@ -26,7 +28,7 @@ REL_PT = 1e-9
 def ref_four_candidates(pts):
     """(length, nodes, edges) of the MST, the three full topologies and the
     four 3+1 trees, in the order the solver tries them."""
-    edges, length = euclidean_mst(pts)
+    edges, length = ref_mst(pts)
     cands = [(length, list(pts), edges)]
     diam = max(math.dist(a, b) for a in pts for b in pts)
     for pair1, pair2 in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
