@@ -65,12 +65,16 @@ class Barrier:
                     sizes, kind)
 
     @classmethod
-    def _of(cls, xy: np.ndarray, sizes: list[int], kind: str) -> Barrier:
+    def _of(cls, xy: np.ndarray, sizes: list[int], kind: str,
+            components: list[list[int]] | None = None) -> Barrier:
         """The barrier over ``xy``, a new (m, 2) float array it keeps
-        read-only without a copy, cut into polylines of ``sizes`` points."""
+        read-only without a copy, cut into polylines of ``sizes`` points;
+        ``components``, when given, are its components: no union runs."""
         barrier = cls.__new__(cls)
         xy = np.ascontiguousarray(xy, dtype=float)
         xy.flags.writeable = False
+        if components is not None:
+            vars(barrier)["components"] = components
         barrier._setup(xy, sizes, kind)
         return barrier
 
@@ -165,6 +169,25 @@ class Barrier:
             groups.setdefault(find(i), []).append(i)
         return list(groups.values())
 
+    @functools.cached_property
+    def component_points(self) -> tuple[np.ndarray, list[int]]:
+        """The distinct points grouped by connected component, each group in
+        order of first occurrence, and the index where each component's run
+        of rows ends.  Equal points lie in one component, so a point's first
+        row there is its first row in the barrier (``repeats``)."""
+        xy, groups, repeated = self._xy, self.components, self.repeats[0]
+        rows = np.delete(np.arange(len(xy)), repeated) if repeated.size else np.arange(len(xy))
+        if len(groups) == 1:           # a1, a3, interior-arc, the trees: no sort
+            pts = xy[rows] if repeated.size else xy
+            ends = [len(pts)]
+        else:
+            comp = _component_labels(groups, len(self.sizes))[
+                np.searchsorted(np.cumsum(self.sizes), rows, side="right")]
+            pts = xy[rows[np.argsort(comp, kind="stable")]]
+            ends = np.cumsum(np.bincount(comp)).tolist()
+        pts.flags.writeable = False    # shared by every reader
+        return pts, ends
+
     def segments(self) -> list[tuple[Point2, Point2]]:
         out = []
         for pl in self.polylines:
@@ -205,6 +228,14 @@ def touch_search(k: int, near) -> bool:
     return not todo
 
 
+def _component_labels(groups: list[list[int]], k: int) -> np.ndarray:
+    """The component index of each of the k polylines, from ``groups`` (``Barrier.components``)."""
+    label = np.empty(k, dtype=np.intp)
+    for c, group in enumerate(groups):
+        label[group] = c
+    return label
+
+
 def _polylines_connected(xy: np.ndarray, sizes, groups) -> bool:
     """Do the polylines, runs of ``sizes`` rows of ``xy``, form one
     connected set?  Exactly shared points connect (``groups``, their
@@ -215,10 +246,8 @@ def _polylines_connected(xy: np.ndarray, sizes, groups) -> bool:
     if len(groups) == 1:
         return True
     tol = TOL_GEOM_REL * max(float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0)))), 1e-300)
-    label = np.empty(len(sizes), dtype=np.intp)
-    for c, group in enumerate(groups):
-        label[group] = c
-    owner = np.repeat(label, np.subtract(sizes, 1))              # each segment's group
+    # each segment's group
+    owner = np.repeat(_component_labels(groups, len(sizes)), np.subtract(sizes, 1))
     z, last = xy.view(np.complex128).ravel(), np.cumsum(sizes)[:-1] - 1
     a, b = np.delete(z[:-1], last), np.delete(z[1:], last)        # segment ends
 
@@ -511,8 +540,9 @@ def _tree_barrier(terminals, nodes: list[Point2], edges: list[tuple[int, int]]) 
     """The connected barrier of the tree's edges, one two-point polyline
     each, from one take of the node array.  The nodes start with the
     terminals as the same floats, so only the junctions are read from the
-    ``Point2`` list."""
+    ``Point2`` list.  The edges ``steiner_tree`` returns span its nodes, so
+    the barrier is handed its one component: no union runs."""
     junctions = np.array(nodes[len(terminals):], dtype=float).reshape(-1, 2)
     xy = np.concatenate([read_points(terminals), junctions])[np.array(edges, dtype=np.intp)]
     xy = xy.reshape(-1, 2)
-    return Barrier._of(xy, [2] * len(edges), "connected")
+    return Barrier._of(xy, [2] * len(edges), "connected", [list(range(len(edges)))])

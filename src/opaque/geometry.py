@@ -118,12 +118,12 @@ class Tolerances(NamedTuple):
 
     Some tolerances do not scale with a polygon and stay with their code:
     validation scales by the coordinate span, since no diameter exists
-    yet; the ``connected`` check of a barrier scales by the extent of its
-    points, and the Steiner routines by their terminals, since neither has
-    a polygon; the incircle LP works in a frame of unit diameter, so its
-    TOL_LEN_REL and TOL_TOUCH_REL are used as they are, and its
-    ``incircle.TOL_PARALLEL`` is a cosine; TOL_ANG and SNAP_ANG are
-    angles, in radians.
+    yet; the ``connected`` check of a barrier and the Steiner routines
+    scale by one measure, the bounding-box diagonal of the barrier's
+    points or of the terminals, since neither has a polygon; the incircle
+    LP works in a frame of unit diameter, so its TOL_LEN_REL and
+    TOL_TOUCH_REL are used as they are, and its ``incircle.TOL_PARALLEL``
+    is a cosine; TOL_ANG and SNAP_ANG are angles, in radians.
     """
 
     geom: float
@@ -132,22 +132,22 @@ class Tolerances(NamedTuple):
     tie: float
 
 
-def canon_line_angle(theta: float) -> float:
-    """Normalize an undirected line direction into [0, pi)."""
-    t = math.fmod(theta, math.pi)
-    if t < 0.0:
-        t += math.pi
-    if t >= math.pi - SNAP_ANG:
-        t = 0.0
-    return t
+def _canon_angle(theta, period: float):
+    """``theta``, a float or an array, reduced into [0, period)."""
+    t = np.fmod(theta, period)
+    t = np.where(t < 0.0, t + period, t)
+    t = np.where(t >= period - SNAP_ANG, 0.0, t)
+    return t if t.ndim else float(t)
+
+
+def canon_line_angle(theta):
+    """Normalize an undirected line direction, or an array of them, into [0, pi)."""
+    return _canon_angle(theta, math.pi)
 
 
 def canon_oriented_angle(theta):
     """Normalize an oriented direction, or an array of them, into [0, 2*pi)."""
-    t = np.fmod(theta, TWO_PI)
-    t = np.where(t < 0.0, t + TWO_PI, t)
-    t = np.where(t >= TWO_PI - SNAP_ANG, 0.0, t)
-    return t if t.ndim else float(t)
+    return _canon_angle(theta, TWO_PI)
 
 
 def cross2(a, b):
@@ -456,13 +456,10 @@ def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
     widths = support_window(poly, m[:, 0], m[:, 1])[2].max(axis=0) - o
     wmin = float(widths.min())
     candidates = np.nonzero(widths <= wmin + poly.tol.length)[0]
-    # alpha = direction of the inward normal, canonicalized as by
-    # canon_line_angle; argmin takes the smallest index among equal angles
+    # alpha = the inward normal's direction; argmin takes the first of equal angles
     mc = m[candidates]
-    alphas = np.fmod(np.fromiter(map(math.atan2, mc[:, 1].tolist(), mc[:, 0].tolist()),
-                                 float, len(candidates)), math.pi)
-    alphas[alphas < 0.0] += math.pi
-    alphas[alphas >= math.pi - SNAP_ANG] = 0.0
+    alphas = canon_line_angle(np.fromiter(map(math.atan2, mc[:, 1].tolist(), mc[:, 0].tolist()),
+                                          float, len(candidates)))
     j = int(alphas.argmin())
     alpha_star, k = float(alphas[j]), int(candidates[j])
     line_dir = canon_line_angle(alpha_star + math.pi / 2.0)

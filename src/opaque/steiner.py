@@ -349,16 +349,17 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
             return pts, [(on, (on + 1) % 3), (on, (on + 2) % 3)], length, True
         return pts + [f], [(3, 0), (3, 1), (3, 2)], length, True
     if n == 4:
-        return _steiner_four(pts)
+        return _steiner_four(pts, xy)
     return _steiner_heuristic(pts, xy)
 
 
-def _steiner_four(pts) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
+def _steiner_four(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
     # no MST candidate: the MST has a leaf, and the 3+1 tree that skips it is
     # never longer (the three-point tree is at most the MST of the other three,
     # and the leaf's MST edge is its shortest edge to them)
     best_nodes, best_edges, best_len = None, None, math.inf
-    diam = max(math.dist(a, b) for a in pts for b in pts)
+    # the terminals' scale, as in _steiner_heuristic: their bounding-box diagonal
+    diam = float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0))))
 
     # full topologies ab|cd by Melzak's construction: e1 (e2) is the outward
     # equilateral apex on ab (cd), and each junction is the Fermat point of
@@ -526,6 +527,6 @@ def _steiner_heuristic(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], fl
         for star in stars:
             push(star)
 
-    out_edges = sorted({(min(i, j), max(i, j)) for i in adj for j in adj[i]})
+    out_edges = sorted((i, j) for i in adj for j in adj[i] if i < j)   # adj is symmetric
     length = sum(math.dist(nodes[i], nodes[j]) for i, j in out_edges)
     return nodes, out_edges, length, False

@@ -9,6 +9,8 @@ exactly equal vertex (``Barrier.components``).  One component projects
 to a single interval, the span of its vertices' projections.  Exact
 sharing is always sound, and no proximity merge is made: two polylines
 a hair apart stay two components, so a line through the gap is found.
+Every function here reads one grouping of the barrier's distinct points
+by component, ``Barrier.component_points``, worked out once per barrier.
 
 Hull certificate.  A line that misses hull(B) misses the barrier B, so B
 is not opaque when a polygon vertex lies more than tol.cover outside
@@ -89,42 +91,13 @@ class VerificationReport:
     min_slack: float | None
 
 
-def _component_points(barrier: Barrier) -> tuple[np.ndarray, list[int]]:
-    """The barrier's distinct points grouped by connected component, each
-    group in order of first occurrence, and the index where each
-    component's run of rows ends: at most one take of ``all_points()``.
-    Equal points lie in one component, so a point's first row there is its
-    first row in the barrier (``Barrier.repeats``)."""
-    xy, sizes, groups = barrier.all_points(), barrier.sizes, barrier.components
-    repeated = barrier.repeats[0]
-    rows = np.delete(np.arange(len(xy)), repeated) if repeated.size else None
-    if len(groups) == 1:
-        # one component (a1, a3, interior-arc, the trees): no sort, one end
-        pts = xy if rows is None else xy[rows]
-        return pts, [len(pts)]
-    ends = np.cumsum(sizes)
-    if [i for group in groups for i in group] == list(range(len(sizes))):
-        # each component a run of consecutive polylines: rows stay in order
-        last = ends[[group[-1] for group in groups]]
-        if rows is None:
-            return xy, last.tolist()
-        return xy[rows], np.searchsorted(rows, last).tolist()
-    if rows is None:
-        rows = np.arange(len(xy))
-    label = np.empty(len(sizes), dtype=np.intp)
-    for c, group in enumerate(groups):
-        label[group] = c
-    comp = label[np.searchsorted(ends, rows, side="right")]
-    return xy[rows[np.argsort(comp, kind="stable")]], np.cumsum(np.bincount(comp)).tolist()
-
-
-def projections_cover(poly: ConvexPolygon, pts: np.ndarray, ends: list[int],
+def projections_cover(poly: ConvexPolygon, barrier: Barrier,
                       thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First uncovered sub-interval (lo, hi) of the polygon's projection
     for each direction; NaN where the union of the barrier's projections
-    covers it.  ``pts`` and ``ends`` are the component rows of
-    ``_component_points``; each component projects to the interval
-    between its rows' min and max."""
+    covers it.  Each component projects to the interval between the min
+    and max of its rows in ``barrier.component_points``."""
+    pts, ends = barrier.component_points
     nrm = np.vstack([-np.sin(thetas), np.cos(thetas)])             # (2, D)
     pproj = poly.coords @ nrm                                       # (n, D)
     plo, phi = pproj.min(axis=0), pproj.max(axis=0)
@@ -162,7 +135,7 @@ def critical_directions(poly: ConvexPolygon, barrier: Barrier) -> list[float]:
     """Directions in [0, pi) of lines through every pair of distinct points
     from the barrier's vertices and the polygon's vertices; a barrier
     vertex shared by several polylines enters once."""
-    pts = np.concatenate([poly.coords, _component_points(barrier)[0]])
+    pts = np.concatenate([poly.coords, barrier.component_points[0]])
     n = len(pts)
     ii, jj = np.triu_indices(n, k=1)
     d = pts[jj] - pts[ii]
@@ -318,7 +291,7 @@ def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     polygon but whose component hulls do not touch, and one whose component
     hulls lie farther apart than its polygon vertex outside hull(B).
     """
-    pts, ends = _component_points(barrier)
+    pts, ends = barrier.component_points
     tol = poly.tol.cover
     frames = [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
     # the union's hull is the hull of the component hulls' vertices
@@ -330,23 +303,21 @@ def is_opaque(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
             return VerificationReport(False, _gap_witness(poly, hull, u), 0, "hull", -gap)
     elif _hulls_touch(frames, tol):
         return VerificationReport(True, None, 0, "hull", 0.0 - gap)   # never -0.0
-    return _scan(poly, barrier, pts, ends)
+    return _scan(poly, barrier)
 
 
-def _scan(poly: ConvexPolygon, barrier: Barrier, pts: np.ndarray, ends: list[int]
-          ) -> VerificationReport:
+def _scan(poly: ConvexPolygon, barrier: Barrier) -> VerificationReport:
     """The direction scan: every critical direction and the midpoint of
     every gap between circularly consecutive criticals (where the
     projected-endpoint ordering, and hence coverage, cannot change), BLOCK
     directions at a time.  The witness is the widest uncovered gap, the
-    first such direction on ties.  ``pts`` and ``ends`` are the barrier's
-    component rows (``_component_points``)."""
+    first such direction on ties."""
     crits = np.array(critical_directions(poly, barrier) or [0.0])
     wrap = math.fmod((crits[-1] + crits[0] + math.pi) / 2.0, math.pi)
     thetas = np.sort(np.concatenate([crits, (crits[:-1] + crits[1:]) / 2.0, [wrap]]))
     best, best_width = None, 0.0
     for start in range(0, len(thetas), BLOCK):
-        lo, hi = projections_cover(poly, pts, ends, thetas[start:start + BLOCK])
+        lo, hi = projections_cover(poly, barrier, thetas[start:start + BLOCK])
         width = np.fmax(hi - lo, 0.0)                               # NaN -> 0
         k = int(width.argmax())
         if width[k] > best_width:

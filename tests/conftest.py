@@ -8,7 +8,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from opaque import Barrier, random_convex_polygon, validate_polygon
 from opaque.geometry import ROUNDING_COVER, Interval, unit_normal
-from opaque.verify import _component_points, projections_cover
+from opaque.verify import projections_cover
 
 RATIO_SEED = 12345
 RATIO_COUNT = 1000
@@ -120,7 +120,7 @@ def cover_at(poly, barrier, theta):
     """``projections_cover`` in the one direction theta: (True, None) when
     the barrier's projections cover the polygon's, else (False, the first
     uncovered interval)."""
-    lo, hi = projections_cover(poly, *_component_points(barrier), np.array([theta]))
+    lo, hi = projections_cover(poly, barrier, np.array([theta]))
     if math.isnan(lo[0]):
         return True, None
     return False, Interval(float(lo[0]), float(hi[0]))

@@ -5,7 +5,7 @@ became arrays: ``ref_components`` joins polylines through a dict keyed by
 ``Point2`` (so -0.0 and 0.0 are one key), and ``ref_component_points``
 collects each component's distinct points with ``dict.fromkeys``, keeping
 each point's first occurrence.  ``Barrier.components`` and
-``verify._component_points`` get the same from one stable sort of the
+``Barrier.component_points`` get the same from one stable sort of the
 point array, so groups, rows and ends must be equal bit for bit, the sign
 of every zero included.
 """
@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opaque import Barrier, algo_a4, interior_connected, random_convex_polygon
+from opaque import Barrier, algo_a2, algo_a4, interior_connected, random_convex_polygon
 from opaque.geometry import Point2
-from opaque.verify import _component_points
 
-from conftest import truncated
+from conftest import regular_ngon, truncated
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -53,7 +52,7 @@ def ref_component_points(barrier):
 
 def assert_same_grouping(barrier):
     assert barrier.components == ref_components(barrier.polylines)
-    pts, ends = _component_points(barrier)
+    pts, ends = barrier.component_points
     want_pts, want_ends = ref_component_points(barrier)
     assert ends == want_ends
     assert pts.shape == want_pts.shape
@@ -93,7 +92,7 @@ def test_signed_zeros_keep_first_occurrence():
            ((5.0, 5.0), (6.0, 5.0), (5.0, 5.0)))
     barrier = Barrier(pls, "arbitrary")
     assert barrier.components == [[0, 1], [2]]
-    pts, ends = _component_points(barrier)
+    pts, ends = barrier.component_points
     assert ends == [3, 5]
     assert np.signbit(pts[:3]).tolist() == [[True, False], [False, False], [False, True]]
     assert_same_grouping(barrier)
@@ -109,3 +108,38 @@ def test_built_and_truncated_barriers(seed):
         assert_same_grouping(truncated(poly, barrier))
     pls = interior_connected(poly).barrier.polylines
     assert_same_grouping(Barrier(pls[1::2] + pls[::2], "arbitrary"))
+
+
+def one_component(barrier):
+    return [list(range(len(barrier.sizes)))]
+
+
+@pytest.fixture(scope="module")
+def hull_883():
+    poly = random_convex_polygon(1024, np.random.default_rng(1))
+    assert len(poly) == 883
+    return poly
+
+
+def test_built_trees_are_one_component(small_polys, ratio_polys, hull_883):
+    # a tree barrier arrives with its one component; the public
+    # constructor's union over shared points must find the same
+    polys = small_polys + ratio_polys + [regular_ngon(n) for n in range(3, 65)] + [hull_883]
+    a2_trees = 0
+    for poly in polys:
+        trees = [interior_connected(poly).barrier]
+        a2 = algo_a2(poly).barrier
+        if a2.kind == "connected":                 # the tangent triangle's tree
+            trees.append(a2)
+        a2_trees += len(trees) - 1
+        for tree in trees:
+            assert Barrier(tree.polylines, "arbitrary").components == one_component(tree)
+    assert a2_trees > 0
+
+
+@pytest.mark.parametrize("n", [5, 16, 64, 512])
+def test_built_tree_runs_no_union(n, hull_883):
+    for poly in (regular_ngon(n), hull_883):
+        barrier = interior_connected(poly).barrier
+        assert "repeats" not in vars(barrier)
+        assert barrier.components == one_component(barrier)

@@ -23,10 +23,14 @@ from opaque import (
 )
 from opaque.geometry import (
     ROUNDING_COVER,
+    SNAP_ANG,
+    TWO_PI,
     TOL_COVER_REL,
     TOL_GEOM_REL,
     TOL_LEN_REL,
     PolygonError,
+    canon_line_angle,
+    canon_oriented_angle,
     polyline_length,
     read_points,
 )
@@ -342,6 +346,35 @@ def test_only_geometry_builds_polygon_tolerances():
     assert {name: lines for name, lines in found.items() if lines} == {}
     probe = "x = TOL_LEN_REL * poly.diameter + np.finfo(float).eps"
     assert _tolerance_builds(ast.parse(probe)) == [1, 1]
+
+
+def ref_canon_angle(theta, period):
+    """The scalar canonicalization: an exact ``math.fmod``, plus the period
+    when negative, 0.0 within SNAP_ANG below the period."""
+    t = math.fmod(theta, period)
+    if t < 0.0:
+        t += period
+    if t >= period - SNAP_ANG:
+        t = 0.0
+    return t
+
+
+@pytest.mark.parametrize("canon, period", [(canon_line_angle, math.pi),
+                                           (canon_oriented_angle, TWO_PI)])
+def test_canon_angle_matches_scalar_fmod(canon, period):
+    multiples = np.arange(-16, 17) * math.pi
+    angles = np.concatenate([
+        np.random.default_rng(3).uniform(-50.0, 50.0, 100_000),
+        multiples, multiples + 1e-16, multiples - 1e-16,
+        np.nextafter(multiples, np.inf), np.nextafter(multiples, -np.inf),
+        [math.pi - SNAP_ANG, TWO_PI - SNAP_ANG, -(math.pi - SNAP_ANG), 0.0, -0.0]])
+    want = np.array([ref_canon_angle(t, period) for t in angles.tolist()])
+    got = canon(angles)
+    # int64 views compare the bits, so -0.0 differs from 0.0
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    scalars = np.array([canon(t) for t in angles[-200:].tolist()])
+    np.testing.assert_array_equal(scalars.view(np.int64), want[-200:].view(np.int64))
+    assert type(canon(1.0)) is float
 
 
 class TestMinWidth:

@@ -19,7 +19,7 @@ from opaque import (
     validate_polygon,
 )
 from opaque.geometry import PolygonError
-from opaque.verify import _component_points, projections_cover
+from opaque.verify import projections_cover
 
 from conftest import cover_at, truncated
 
@@ -59,7 +59,7 @@ class TestProjectionsCover:
     def test_directions_at_once(self, square):
         # one row of first gaps per call, NaN where the direction is covered
         b = Barrier(((Point2(0, 0), Point2(1, 0)),), "single-arc")
-        lo, hi = projections_cover(square, *_component_points(b), np.array([0.0, math.pi / 2]))
+        lo, hi = projections_cover(square, b, np.array([0.0, math.pi / 2]))
         assert (lo[0], hi[0]) == pytest.approx((0.0, 1.0), abs=1e-9)
         assert np.isnan(lo[1]) and np.isnan(hi[1])
 

@@ -32,7 +32,7 @@ from opaque import (
     random_convex_polygon,
     validate_polygon,
 )
-from opaque.verify import _component_points, _hull_frame, _hulls_touch, _scan, _sweep
+from opaque.verify import _hull_frame, _hulls_touch, _scan, _sweep
 
 from conftest import assert_witness, truncated
 
@@ -66,7 +66,7 @@ def test_hull_certificate_matches_scan(seed, n):
         cases.append((without_leaf(barrier), False) if name == "interior-tree"
                      else (truncated(poly, barrier), False))
         for case, want in cases:
-            assert len(_component_points(case)[1]) == 1, name
+            assert len(case.component_points[1]) == 1, name
             report, scanned = assert_matches_scan(poly, case)
             assert scanned.opaque == want, name
             assert (report.certificate, report.directions_tested) == ("hull", 0)
@@ -76,8 +76,7 @@ def assert_matches_scan(poly, barrier):
     """is_opaque gives the scan's verdict.  Where the scan decides, it
     gives the scan's witness bit for bit; where the hull gap rejects, a
     witness that passes ``assert_witness`` against the scan's."""
-    pts, ends = _component_points(barrier)
-    scanned = _scan(poly, barrier, pts, ends)
+    scanned = _scan(poly, barrier)
     report = is_opaque(poly, barrier)
     assert report.opaque == scanned.opaque
     if report.certificate == "directions":
@@ -112,7 +111,7 @@ def test_touching_certificate_matches_scan(seed, n):
     poly = hull(seed, n)
     barrier = algo_a4(poly).barrier
     report, _ = assert_matches_scan(poly, barrier)
-    assert len(_component_points(barrier)[1]) == 2
+    assert len(barrier.component_points[1]) == 2
     assert (report.opaque, report.certificate, report.directions_tested) == (True, "hull", 0)
     pls = barrier.polylines
     for case in [truncated(poly, barrier)] + [Barrier(pls[:k] + pls[k + 1:], "arbitrary")
@@ -273,7 +272,7 @@ def test_collinear_segments(square):
                        ((((0, 0), (0.5, 0)), ((0.5 + 2 * tol, 0), (1, 0))), False),
                        ((((0, 0), (1, 0)), ((0, 0.5 * tol), (1, 0.5 * tol))), True),
                        ((((0, 0), (1, 0)), ((0, 2 * tol), (1, 2 * tol))), False)):
-        pts, ends = _component_points(Barrier(pls, "arbitrary"))
+        pts, ends = Barrier(pls, "arbitrary").component_points
         frames = [_hull_frame(pts[s:e]) for s, e in zip([0] + ends[:-1], ends)]
         assert _hulls_touch(frames, tol) == touch
 
@@ -289,7 +288,7 @@ def test_hull_certificate_on_rotated_reuleaux(m, k, name):
     base = make_fixture("reuleaux-poly", m=m).polygon.coords.tolist()
     poly = validate_polygon([(c * x - s * y, s * x + c * y) for x, y in base])
     barrier = BUILDERS[name](poly).barrier
-    scanned = _scan(poly, barrier, *_component_points(barrier))
+    scanned = _scan(poly, barrier)
     report = is_opaque(poly, barrier)
     assert scanned.opaque
     assert (report.opaque, report.certificate, report.directions_tested) == (True, "hull", 0)
@@ -300,7 +299,7 @@ def test_hull_certificate_on_rotated_reuleaux(m, k, name):
 def test_component_gaps_match_per_polyline(seed, n):
     poly = hull(seed, n)
     barrier = truncated(poly, interior_connected(poly).barrier)
-    pts, ends = _component_points(barrier)
+    pts, ends = barrier.component_points
     row = {tuple(p): i for i, p in enumerate(pts.tolist())}
     thetas = np.linspace(0.0, math.pi, 257)
     nrm = np.vstack([-np.sin(thetas), np.cos(thetas)])

@@ -32,7 +32,6 @@ from opaque import (
     validate_polygon,
 )
 from opaque.geometry import TOL_ANG, TOL_COVER_REL, TOL_LEN_REL, Interval, unit_normal
-from opaque.verify import _component_points
 
 from conftest import assert_witness, cover_at, regular_ngon, truncated
 
@@ -167,7 +166,7 @@ def test_projections_cover_matches_sweep(ratio_polys, theta):
 def pair_angles(poly, barrier):
     """Sorted directions in [0, pi) of the pairs of polygon vertices and
     distinct barrier vertices, as the verifier computes them."""
-    pts = np.concatenate([poly.coords, _component_points(barrier)[0]])
+    pts = np.concatenate([poly.coords, barrier.component_points[0]])
     ii, jj = np.triu_indices(len(pts), k=1)
     d = pts[jj] - pts[ii]
     keep = np.hypot(d[:, 0], d[:, 1]) > TOL_LEN_REL * poly.diameter
