@@ -66,15 +66,20 @@ class Barrier:
 
     @classmethod
     def _of(cls, xy: np.ndarray, sizes: list[int], kind: str,
-            components: list[list[int]] | None = None) -> Barrier:
+            components: list[list[int]] | None = None,
+            points: np.ndarray | None = None) -> Barrier:
         """The barrier over ``xy``, a new (m, 2) float array it keeps
-        read-only without a copy, cut into polylines of ``sizes`` points;
-        ``components``, when given, are its components: no union runs."""
+        read-only without a copy, cut into polylines of ``sizes`` points.
+        When given, ``components`` are its components (no union runs) and
+        ``points`` its one component's ``component_points`` (no sort runs)."""
         barrier = cls.__new__(cls)
         xy = np.ascontiguousarray(xy, dtype=float)
         xy.flags.writeable = False
         if components is not None:
             vars(barrier)["components"] = components
+        if points is not None:
+            points.flags.writeable = False
+            vars(barrier)["component_points"] = points, [len(points)]
         barrier._setup(xy, sizes, kind)
         return barrier
 
@@ -418,8 +423,7 @@ def algo_a4_candidates(poly: ConvexPolygon):
     last = cand[np.where(near, along, -np.inf).argmax(axis=0), cols].tolist()
     out = []
     for k in range(4):
-        i = first[k]
-        j = last[(k + 1) % 4]
+        i, j = first[k], last[(k + 1) % 4]
         m = (j - i) % n + 1
         chain = poly.coords[i:i + m] if i + m <= n else poly.coords[(i + np.arange(m)) % n]
         path = _path(c[k], chain, c[(k + 2) % 4], poly.tol.geom)
@@ -468,10 +472,7 @@ def hamiltonian_path_tables(poly: ConvexPolygon):
     dnext2 = np.concatenate([dnext, dnext])
     S = np.append(dnext, dnext[0])
     T = S.copy()
-    S_new = np.empty(n + 1)
-    dspan = np.empty(n)
-    dy = np.empty(n)
-    opt = np.empty(n)
+    S_new, dspan, dy, opt = np.empty(n + 1), np.empty(n), np.empty(n), np.empty(n)
     cs = np.zeros((n, n), dtype=bool)
     ct = np.zeros_like(cs)
     for L in range(2, n):
@@ -541,8 +542,12 @@ def _tree_barrier(terminals, nodes: list[Point2], edges: list[tuple[int, int]]) 
     each, from one take of the node array.  The nodes start with the
     terminals as the same floats, so only the junctions are read from the
     ``Point2`` list.  The edges ``steiner_tree`` returns span its nodes, so
-    the barrier is handed its one component: no union runs."""
+    the barrier is handed its one component, and its distinct points, each
+    node's first row, unless two nodes share coordinates."""
     junctions = np.array(nodes[len(terminals):], dtype=float).reshape(-1, 2)
-    xy = np.concatenate([read_points(terminals), junctions])[np.array(edges, dtype=np.intp)]
-    xy = xy.reshape(-1, 2)
-    return Barrier._of(xy, [2] * len(edges), "connected", [list(range(len(edges)))])
+    ids = np.array(edges, dtype=np.intp).ravel()
+    xy = np.concatenate([read_points(terminals), junctions])[ids]
+    first = np.full(len(nodes), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    points = xy[np.sort(first[first < len(ids)])] if len(set(nodes)) == len(nodes) else None
+    return Barrier._of(xy, [2] * len(edges), "connected", [list(range(len(edges)))], points)

@@ -27,7 +27,8 @@ from .barriers import (
     interior_single_arc,
 )
 from .fixtures import BadFixtureParameter, UnknownFixture, make_fixture, random_convex_polygon
-from .geometry import ConvexPolygon, PolygonError, read_points, signed_area2, validate_polygon
+from .geometry import (ConvexPolygon, PolygonError, read_points, signed_area2, unit_normal,
+                       validate_polygon)
 from .verify import is_opaque
 
 METHODS = {
@@ -61,9 +62,7 @@ def _json_value(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_json_value(v)}"
-                          for k, v in obj.items())
-        return "{" + items + "}"
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_value(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -82,14 +81,9 @@ def _polyline_lists(barrier: Barrier) -> list[list[list[float]]]:
 
 
 def barrier_document(sol: BarrierSolution) -> dict:
-    return {
-        "polylines": _polyline_lists(sol.barrier),
-        "kind": sol.barrier.kind,
-        "length": sol.length,
-        "method": sol.method,
-        "lower_bound": sol.lower_bound,
-        "ratio": sol.ratio,
-    }
+    return {"polylines": _polyline_lists(sol.barrier), "kind": sol.barrier.kind,
+            "length": sol.length, "method": sol.method, "lower_bound": sol.lower_bound,
+            "ratio": sol.ratio}
 
 
 def read_polygon(path: str, auto_orient: bool = False) -> ConvexPolygon:
@@ -118,13 +112,8 @@ def write_svg(path: str, poly: ConvexPolygon, barrier: Barrier | None,
     barrier stroke width is 0.8 percent of the polygon diameter.  The y
     axis is flipped so the drawing matches mathematical orientation.
     """
-    xs = poly.coords[:, 0]
-    ys = poly.coords[:, 1]
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    pad_x = 0.15 * (x1 - x0)
-    pad_y = 0.15 * (y1 - y0)
-    pad = max(pad_x, pad_y, 0.15 * poly.diameter * 0.1)
+    (x0, y0), (x1, y1) = poly.coords.min(axis=0).tolist(), poly.coords.max(axis=0).tolist()
+    pad = max(0.15 * (x1 - x0), 0.15 * (y1 - y0), 0.15 * poly.diameter * 0.1)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     stroke = 0.008 * poly.diameter
 
@@ -167,14 +156,11 @@ def write_svg(path: str, poly: ConvexPolygon, barrier: Barrier | None,
 
 def _witness_segment(poly: ConvexPolygon, theta: float, offset: float):
     """Endpoints of the witness line clipped to the viewport scale."""
-    u = np.array([math.cos(theta), math.sin(theta)])
-    nrm = np.array([-math.sin(theta), math.cos(theta)])
+    u, nrm = np.array([math.cos(theta), math.sin(theta)]), unit_normal(theta)
     mid = poly.coords.mean(axis=0)
     base = mid + (offset - float(mid @ nrm)) * nrm
     half = 0.75 * poly.diameter
-    a = base - half * u
-    b = base + half * u
-    return (float(a[0]), float(a[1])), (float(b[0]), float(b[1]))
+    return tuple((base - half * u).tolist()), tuple((base + half * u).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +221,11 @@ def _bench_instances(family: str, sizes: range, seed: int):
     rng = np.random.default_rng(seed)
     for size in sizes:
         if family == "ngon":
-            poly = make_fixture("regular-ngon", n=size).polygon
-            yield f"ngon-{size}", poly
+            yield f"ngon-{size}", make_fixture("regular-ngon", n=size).polygon
         elif family == "random-hull":
             yield f"random-hull-{size}", random_convex_polygon(size, rng)
         elif family == "thin":
-            poly = make_fixture("rectangle", a=float(size), b=1.0).polygon
-            yield f"thin-{size}x1", poly
+            yield f"thin-{size}x1", make_fixture("rectangle", a=float(size), b=1.0).polygon
         elif family == "reuleaux":
             yield f"reuleaux-{size}", make_fixture("reuleaux-poly", m=size).polygon
 
@@ -291,14 +275,8 @@ def cmd_fixture(args) -> int:
     if args.emit == "polygon":
         print(_json_value(polygon_document(fix.polygon)))
     else:
-        docs = []
-        for barrier, length, label in fix.known_barriers:
-            docs.append({
-                "label": label,
-                "polylines": _polyline_lists(barrier),
-                "kind": barrier.kind,
-                "length": length,
-            })
+        docs = [{"label": label, "polylines": _polyline_lists(barrier), "kind": barrier.kind,
+                 "length": length} for barrier, length, label in fix.known_barriers]
         print(_json_value({
             "name": fix.name,
             "half_perimeter": half_perimeter_lower_bound(fix.polygon),

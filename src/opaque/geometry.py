@@ -5,10 +5,11 @@ operations here: polygon validation and each polygon's one edge frame,
 widths, rotating-calipers style enumerations through one extreme-vertex
 lookup (``extreme_index``), projections.
 
-Validation runs a fixed number of numpy calls: one read of the
-coordinates, one closed copy of them for the edges, turns and signed area,
-and the edge-normal angles, which also reject a boundary that winds more
-than once.  The diameter is one ``extreme_index`` lookup over those angles.
+Validation runs about thirty numpy calls at any size: a read and an x sort
+of the coordinates (its ends give the span, its gaps skip the duplicate
+scan), one closed copy of them for the edges, turns and signed area, and the
+edge-normal angles, which also reject a boundary that winds more than once.
+The diameter is one ``extreme_index`` lookup over those angles, one hypot.
 Vertex windows around extreme vertices (the diameter's antipodal window,
 ``support_window``) are laid out window-major, (w, directions): a window's
 max or min reduces over axis 0, a few contiguous rows of every direction,
@@ -50,6 +51,10 @@ TOL_COVER_REL = 1e-9
 ROUNDING_COVER = 8.0   # eps * (max |coord| + diameter) units; see Tolerances
 TOL_ANG = 1e-12
 SNAP_ANG = 1e-15       # an angle this far below its period canonicalizes to 0
+# the largest coordinate span validation accepts: it rejects a larger one
+# before any arithmetic that could overflow, and under it n * span**2, a
+# bound on the shoelace sum and on every turn, stays finite
+MAX_SPAN = 1e150
 
 
 class PolygonError(ValueError):
@@ -88,6 +93,7 @@ class Point2(NamedTuple):
 # 2.6 instead of 2.0; 2-vCPU host)
 _PAIR_TYPES = frozenset((tuple, list, Point2))
 _ENTRYWISE_MIN = 16
+_NEIGHBOURS = np.array([[-1], [0], [1]])     # a vertex's window: its neighbours and itself
 
 
 class Tolerances(NamedTuple):
@@ -152,8 +158,7 @@ def canon_oriented_angle(theta):
 
 def cross2(a, b):
     """z component of the cross product of planar vectors (broadcasts)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
@@ -203,12 +208,15 @@ class ConvexPolygon:
     """Validated counterclockwise strictly convex vertex cycle.
 
     Construct through :func:`validate_polygon`; the constructor runs the
-    same checks.
+    same checks.  It keeps what they compute: the coordinates, edge lengths,
+    perimeter and ``normal_angles``.  What some methods never read is built
+    on first use: ``edge_normals_offsets()`` (a1, a2, a4), ``cumulative_lengths``
+    (a1-a3), ``diameter``, ``tol`` and ``vertices``.
     """
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
         arr = read_points(vertices, "vertices", PolygonError)
-        closed, edges, lengths, nrm = _check_polygon(arr)
+        closed, lengths, nrm = _check_polygon(arr)
         # rows n and n + 1 repeat vertices 0 and 1, so an edge's far vertex
         # and its neighbours are read without wrapping indices
         self._closed = _read_only(closed)
@@ -217,14 +225,9 @@ class ConvexPolygon:
         # from vertex i to vertex i + 1
         self.edge_lengths = _read_only(lengths)
         self.perimeter = float(lengths.sum())
-        # cum[i] = boundary length from vertex 0 to vertex i, counterclockwise
-        self.cumulative_lengths = _read_only(
-            np.concatenate(([0.0], np.cumsum(lengths)[:-1])))
         # outward edge-normal angles, unwrapped to increase from edge 0's:
         # vertex k is extreme for the directions between entries k-1 and k
         self.normal_angles = _read_only(nrm)
-        m = np.column_stack([-edges[:, 1], edges[:, 0]]) / lengths[:, None]
-        self._inward = _read_only(m), _read_only(np.einsum("ij,ij->i", m, self._coords))
         self._diameter: float | None = None
 
     def __len__(self) -> int:
@@ -243,22 +246,27 @@ class ConvexPolygon:
         """The vertices as ``Point2`` tuples, built on first use."""
         return tuple(map(Point2._make, self._coords.tolist()))
 
+    @functools.cached_property
+    def cumulative_lengths(self) -> np.ndarray:
+        """cum[i] = boundary length from vertex 0 to vertex i, counterclockwise."""
+        return _read_only(np.concatenate(([0.0], np.cumsum(self.edge_lengths)[:-1])))
+
     @property
     def diameter(self) -> float:
         """Largest vertex-to-vertex distance, over the antipodal pairs:
         both ends of each edge against the vertex farthest from its line
         and that vertex's two neighbours, so ties and rounding in the
-        angles cannot drop a pair."""
+        angles cannot drop a pair: one hypot over the (3, 2, n) pairs of
+        window vertex and edge end."""
         if self._diameter is None:
             nrm = self.normal_angles
-            n = len(nrm)
+            x, y = self._closed.T
             # extreme in the inward normal direction; 1..n, and the closed
             # copy reads n + 1 as vertex 1
-            far = extreme_index(nrm, nrm + math.pi) + np.array([[-1], [0], [1]])
-            x, y = self._closed.T
-            fx, fy = x[far], y[far]
-            self._diameter = max(float(np.hypot(fx - x[i:i + n], fy - y[i:i + n]).max())
-                                 for i in (0, 1))
+            far = extreme_index(nrm, nrm + math.pi) + _NEIGHBOURS
+            ends = np.arange(len(nrm)) + _NEIGHBOURS[1:]     # edge j's ends, j and j + 1
+            self._diameter = float(np.hypot(x[far][:, None] - x[ends],
+                                            y[far][:, None] - y[ends]).max())
         return self._diameter
 
     @functools.cached_property
@@ -272,8 +280,14 @@ class ConvexPolygon:
 
     def edge_normals_offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Inward unit normals m_i and offsets o_i with interior
-        {q : m_i . q >= o_i for all i}."""
+        {q : m_i . q >= o_i for all i}; built on first use."""
         return self._inward
+
+    @functools.cached_property
+    def _inward(self) -> tuple[np.ndarray, np.ndarray]:
+        dx, dy = (self._closed[1:len(self) + 1] - self._coords).T
+        m = np.column_stack([-dy, dx]) / self.edge_lengths[:, None]
+        return _read_only(m), _read_only(np.einsum("ij,ij->i", m, self._coords))
 
 
 def read_points(points, what: str = "points", error: type[ValueError] = ValueError) -> np.ndarray:
@@ -317,15 +331,19 @@ def normal_angles(edges: np.ndarray) -> np.ndarray:
     """Outward normal angles of the edge vectors of a counterclockwise
     convex polygon, unwrapped so they increase from edge 0's and span
     less than 2*pi.  The float operations of ``np.unwrap`` (period 2*pi)
-    on their arctan2, without its generic set-up."""
+    on their arctan2, without its generic set-up: a correction is worked out
+    only at a step of pi or more (a convex polygon has one), in floats."""
     a = np.arctan2(-edges[:, 0], edges[:, 1])
-    dd = np.diff(a)
-    ddmod = np.mod(dd + math.pi, TWO_PI) - math.pi
-    # a step of exactly pi keeps its sign
-    ddmod[(ddmod == -math.pi) & (dd > 0.0)] = math.pi
-    correct = ddmod - dd
-    correct[np.abs(dd) < math.pi] = 0.0
-    a[1:] += np.cumsum(correct)
+    dd = a[1:] - a[:-1]
+    a[1:] += 0.0      # as np.unwrap's cumulative sum: -0.0 turns to 0.0
+    steps = (np.abs(dd) >= math.pi).nonzero()[0].tolist()
+    total = 0.0
+    for i, j in zip(steps, steps[1:] + [len(dd)]):
+        step = float(dd[i])
+        fix = (step + math.pi) % TWO_PI - math.pi     # % rounds as np.mod
+        # a step of exactly pi keeps its sign
+        total += (math.pi if fix == -math.pi and step > 0.0 else fix) - step
+        a[i + 1:j + 1] += total
     return a
 
 
@@ -349,58 +367,65 @@ def signed_area2(pts) -> float:
 
 def _shoelace(closed: np.ndarray) -> float:
     """``signed_area2`` of a cycle whose last row repeats its first."""
-    rel = closed - closed[0]
-    return float(cross2(rel[:-1], rel[1:]).sum())
+    x, y = (closed - closed[0]).T
+    return float((x[:-1] * y[1:] - y[:-1] * x[1:]).sum())
 
 
 def _check_polygon(arr: np.ndarray):
     """Raise the first validation failure.  Return the vertices closed by
     their first two (rows n and n + 1 repeat rows 0 and 1), the edge
-    vectors, their lengths and their ``normal_angles``."""
+    lengths and the ``normal_angles``."""
     n = len(arr)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
-    if not np.all(np.isfinite(arr)):
-        raise PolygonError("non-finite vertex coordinate")
-    x, y = arr.T      # a column's extremes: far faster than axis-0 reductions
-    span = float(np.hypot(x.max() - x.min(), y.max() - y.min()))
+    # column extremes, far faster than axis-0 reductions: x's from its sort,
+    # y's by index (NaN wins both); in Python floats a span overflows silently
+    x, y = arr.T
+    sx = np.sort(x)
+    span = float(np.hypot(float(sx[-1]) - float(sx[0]),
+                          float(y[y.argmax()]) - float(y[y.argmin()])))
+    if not span <= MAX_SPAN:
+        if not np.isfinite(arr).all():
+            raise PolygonError("non-finite vertex coordinate")
+        raise PolygonError(f"vertex coordinates span {span:.6g}, above {MAX_SPAN:g}")
     if span <= 0.0:
         raise DuplicateVertex("all vertices coincide")
     tol_dup = TOL_GEOM_REL * span
     closed = np.concatenate((arr, arr[:2]))
-    d = np.diff(closed, axis=0)          # row n repeats edge 0
-    lengths = np.hypot(d[:n, 0], d[:n, 1])
-    close = lengths <= tol_dup
-    if np.any(close):
-        i = int(np.nonzero(close)[0][0])
+    d = closed[1:] - closed[:-1]        # row n repeats edge 0
+    dx, dy = d.T
+    lengths = np.hypot(dx[:n], dy[:n])
+    if lengths[lengths.argmin()] <= tol_dup:
+        i = int((lengths <= tol_dup).nonzero()[0][0])
         raise DuplicateVertex(f"vertices {i} and {(i + 1) % n} coincide")
     # non-consecutive duplicates: in x order a vertex can coincide with any
     # later one under 2 tol_dup (rounding) further along x, not only with
-    # its neighbour (a needle rhombus's tips); offsets go from 1 up
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    s = arr[order]
-    reach = np.searchsorted(s[:, 0], s[:, 0] + 2.0 * tol_dup, side="right") - np.arange(n)
-    for off in range(1, int(reach.max())):
-        same = np.hypot(*(s[off:] - s[:-off]).T) <= tol_dup
-        if np.any(same):
-            k = int(np.nonzero(same)[0][0])
-            i, j = sorted((int(order[k]), int(order[k + off])))
-            raise DuplicateVertex(f"vertices {i} and {j} coincide")
-    cross = cross2(d[:-1], d[1:])
+    # its neighbour (a needle rhombus's tips); offsets go from 1 up, when
+    # two x values are that close at all
+    if np.count_nonzero(sx[1:] <= sx[:-1] + 2.0 * tol_dup):
+        order = np.lexsort((y, x))
+        s = arr[order]
+        reach = np.searchsorted(s[:, 0], s[:, 0] + 2.0 * tol_dup, side="right") - np.arange(n)
+        for off in range(1, int(reach.max())):
+            same = np.hypot(*(s[off:] - s[:-off]).T) <= tol_dup
+            if np.any(same):
+                k = int(np.nonzero(same)[0][0])
+                i, j = sorted((int(order[k]), int(order[k + off])))
+                raise DuplicateVertex(f"vertices {i} and {j} coincide")
+    cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
     tol_area = TOL_AREA_REL * span ** 2
     if _shoelace(closed[:-1]) < -tol_area:
         raise WrongOrientation("vertices are clockwise (pass counterclockwise, "
                                "or use --auto-orient in the CLI)")
-    if np.any(cross <= tol_area):
-        i = int(np.argmin(cross))
-        raise NotStrictlyConvex(
-            f"collinear or reflex turn at vertex {(i + 1) % n}")
+    i = int(cross.argmin())
+    if cross[i] <= tol_area:
+        raise NotStrictlyConvex(f"collinear or reflex turn at vertex {(i + 1) % n}")
     # every turn is left, but a boundary such as a pentagram turns left
     # through 4*pi
     nrm = normal_angles(d[:n])
     if nrm[-1] - nrm[0] >= TWO_PI:
         raise NotStrictlyConvex("the boundary winds around more than once")
-    return closed, d[:n], lengths, nrm
+    return closed, lengths, nrm
 
 
 def validate_polygon(points: Sequence[tuple[float, float]]) -> ConvexPolygon:
@@ -409,8 +434,8 @@ def validate_polygon(points: Sequence[tuple[float, float]]) -> ConvexPolygon:
 
     Raises TooFewVertices, NotStrictlyConvex (also for a boundary that
     winds around more than once), WrongOrientation or DuplicateVertex, and
-    PolygonError for non-finite coordinates or input of any other shape;
-    input order is preserved.
+    PolygonError for non-finite coordinates, a span above MAX_SPAN or input
+    of any other shape; input order is preserved.
     """
     return ConvexPolygon(points)
 
@@ -463,8 +488,7 @@ def min_width(poly: ConvexPolygon) -> tuple[float, float, Strip]:
     j = int(alphas.argmin())
     alpha_star, k = float(alphas[j]), int(candidates[j])
     line_dir = canon_line_angle(alpha_star + math.pi / 2.0)
-    nrm = unit_normal(line_dir)
-    offs = poly.coords @ nrm
+    offs = poly.coords @ unit_normal(line_dir)
     return alpha_star, float(widths[k]), Strip(line_dir, float(offs.min()), float(offs.max()))
 
 
@@ -501,6 +525,5 @@ def min_perimeter_rectangle(poly: ConvexPolygon) -> OrientedRectangle:
 
 
 def polyline_length(points: Sequence[tuple[float, float]]) -> float:
-    arr = np.asarray(points, dtype=float)
-    d = np.diff(arr, axis=0)
+    d = np.diff(np.asarray(points, dtype=float), axis=0)
     return float(np.hypot(d[:, 0], d[:, 1]).sum())

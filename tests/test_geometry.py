@@ -90,6 +90,25 @@ class TestValidation:
         with pytest.raises(PolygonError):
             validate_polygon([(0, 0), (1, 0), (math.nan, 1)])
 
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1e308, 0), (1e308, 1e308), (0, 1e308)],   # span**2 overflows
+        [(-1e308, 0), (1e308, 0), (0, 1e308)],              # the x span overflows
+        [(0, 0), (1e150, 0), (0, 1e150)],
+    ])
+    def test_overflowing_span_rejected(self, pts):
+        # finite coordinates whose span is above MAX_SPAN fail by name, before
+        # any arithmetic that could overflow; warnings are errors here, so
+        # this also checks that none is raised
+        with pytest.raises(PolygonError, match="span .*, above 1e\\+150") as exc:
+            validate_polygon(pts)
+        assert type(exc.value) is PolygonError
+
+    def test_span_below_bound_validates(self):
+        # just under the bound, the set-up and its tolerances stay finite
+        poly = validate_polygon([(0, 0), (7e149, 0), (0, 7e149)])
+        assert math.isfinite(poly.diameter) and all(map(math.isfinite, poly.tol))
+        assert poly.perimeter == pytest.approx(7e149 * (2 + math.sqrt(2)))
+
     def test_far_translated_hulls_validate(self):
         # the shoelace sum on raw coordinates 1e9 diameters from the origin
         # cancels to noise and rejected about a third of these as clockwise
@@ -234,14 +253,19 @@ class TestBasics:
                 float(pdist(poly.coords).max()), rel=1e-12)
 
     def test_edge_frame_is_read_only(self, square):
-        # one frame per polygon, shared by every caller
-        m, o = square.edge_normals_offsets()
-        for arr in (m, o, square.normal_angles, square.edge_lengths,
-                    square.cumulative_lengths, square.coords):
+        # one frame per polygon, shared by every caller; the inward normals
+        # and offsets and the cumulative lengths are built on first use
+        poly = validate_polygon(square.coords)
+        assert not {"_inward", "cumulative_lengths"} & set(vars(poly))
+        m, o = poly.edge_normals_offsets()
+        cum = poly.cumulative_lengths
+        assert poly.edge_normals_offsets()[0] is m and poly.cumulative_lengths is cum
+        for arr in (m, o, poly.normal_angles, poly.edge_lengths, cum, poly.coords):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert square.edge_normals_offsets()[0][0].tolist() == [0.0, 1.0]
-        assert square.edge_lengths.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert m[0].tolist() == [0.0, 1.0]
+        assert cum.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert poly.edge_lengths.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_polyline_length(self):
         assert polyline_length([(0, 0), (1, 0), (1, 1)]) == pytest.approx(2.0)

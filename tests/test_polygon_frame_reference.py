@@ -128,9 +128,11 @@ def bits(arr):
 def assert_same_frame(points):
     want = RefPolygon(points)
     got = validate_polygon(points)
+    # the fields built on first use, read before any other
     m, o = got.edge_normals_offsets()
+    cum = got.cumulative_lengths
     for g, w in ((got.coords, want.coords), (got.edge_lengths, want.edge_lengths),
-                 (got.cumulative_lengths, want.cumulative_lengths),
+                 (cum, want.cumulative_lengths),
                  (got.normal_angles, want.normal_angles), (m, want.inward[0]),
                  (o, want.inward[1])):
         assert bits(g) == bits(w)
@@ -211,6 +213,10 @@ INVALID = {
     "two": [(0, 0), (1, 1)],
     "nan": [(0, 0), (1, 0), (math.nan, 1)],
     "inf": [(0, 0), (math.inf, 0), (1, 1)],
+    "minus-inf": [(0, 0), (1, 0), (-math.inf, 1)],
+    # inf - inf: the x span is NaN
+    "inf-column": [(math.inf, 0), (math.inf, 1), (math.inf, 2)],
+    "nan-y": [(0, 0), (1, 0), (1, math.nan), (0, 1)],
     "coincide": [(1, 1)] * 4,
     "consecutive-duplicate": [(0, 0), (0, 0), (1, 0), (1, 1)],
     "closing-duplicate": [(0, 0), (1, 0), (1, 1), (0, 1e-12)],
@@ -223,6 +229,8 @@ INVALID = {
     # only the sorted duplicate check rejects it: its two middle vertices
     # are 5e-10 apart, not consecutive, and every turn is left
     "thin-rhombus": [(-1, 0), (0, -2.5e-10), (1, 0), (0, 2.5e-10)],
+    # clockwise too: the duplicate still wins over the orientation
+    "thin-rhombus-clockwise": [(-1, 0), (0, 2.5e-10), (1, 0), (0, -2.5e-10)],
 }
 
 
