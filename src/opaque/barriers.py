@@ -66,20 +66,19 @@ class Barrier:
 
     @classmethod
     def _of(cls, xy: np.ndarray, sizes: list[int], kind: str,
-            components: list[list[int]] | None = None,
             points: np.ndarray | None = None) -> Barrier:
         """The barrier over ``xy``, a new (m, 2) float array it keeps
         read-only without a copy, cut into polylines of ``sizes`` points.
-        When given, ``components`` are its components (no union runs) and
-        ``points`` its one component's ``component_points`` (no sort runs)."""
+        When given, ``points`` are its distinct points, first occurrence
+        first, and the polylines form one component: no union and no sort
+        runs."""
         barrier = cls.__new__(cls)
         xy = np.ascontiguousarray(xy, dtype=float)
         xy.flags.writeable = False
-        if components is not None:
-            vars(barrier)["components"] = components
         if points is not None:
             points.flags.writeable = False
-            vars(barrier)["component_points"] = points, [len(points)]
+            vars(barrier).update(components=[list(range(len(sizes)))],
+                                 component_points=(points, [len(points)]))
         barrier._setup(xy, sizes, kind)
         return barrier
 
@@ -541,13 +540,12 @@ def _tree_barrier(terminals, nodes: list[Point2], edges: list[tuple[int, int]]) 
     """The connected barrier of the tree's edges, one two-point polyline
     each, from one take of the node array.  The nodes start with the
     terminals as the same floats, so only the junctions are read from the
-    ``Point2`` list.  The edges ``steiner_tree`` returns span its nodes, so
-    the barrier is handed its one component, and its distinct points, each
-    node's first row, unless two nodes share coordinates."""
+    ``Point2`` list.  The edges ``steiner_tree`` returns span its nodes,
+    each node an edge end and no two equal, so the barrier is handed its
+    distinct points, each node's first row, as one component."""
     junctions = np.array(nodes[len(terminals):], dtype=float).reshape(-1, 2)
     ids = np.array(edges, dtype=np.intp).ravel()
     xy = np.concatenate([read_points(terminals), junctions])[ids]
     first = np.full(len(nodes), len(ids))
     np.minimum.at(first, ids, np.arange(len(ids)))
-    points = xy[np.sort(first[first < len(ids)])] if len(set(nodes)) == len(nodes) else None
-    return Barrier._of(xy, [2] * len(edges), "connected", [list(range(len(edges)))], points)
+    return Barrier._of(xy, [2] * len(edges), "connected", xy[np.sort(first)])

@@ -27,7 +27,7 @@ from .barriers import (
     interior_single_arc,
 )
 from .fixtures import BadFixtureParameter, UnknownFixture, make_fixture, random_convex_polygon
-from .geometry import (ConvexPolygon, PolygonError, read_points, signed_area2, unit_normal,
+from .geometry import (ConvexPolygon, PolygonError, WrongOrientation, read_points, unit_normal,
                        validate_polygon)
 from .verify import is_opaque
 
@@ -90,9 +90,12 @@ def read_polygon(path: str, auto_orient: bool = False) -> ConvexPolygon:
     with open(path) as fh:
         doc = json.load(fh)
     pts = read_points(doc["vertices"], "vertices", PolygonError)
-    if auto_orient and signed_area2(pts) < 0.0:
-        pts = pts[::-1]
-    return validate_polygon(pts)
+    try:
+        return validate_polygon(pts)
+    except WrongOrientation:
+        if auto_orient:
+            return validate_polygon(pts[::-1])
+        raise
 
 
 def read_barrier(path: str) -> Barrier:

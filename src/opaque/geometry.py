@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -55,6 +56,9 @@ SNAP_ANG = 1e-15       # an angle this far below its period canonicalizes to 0
 # before any arithmetic that could overflow, and under it n * span**2, a
 # bound on the shoelace sum and on every turn, stays finite
 MAX_SPAN = 1e150
+# the smallest span validation accepts: below it TOL_AREA_REL * span**2 is
+# no longer a normal float, and turns and tolerances underflow together
+MIN_SPAN = math.sqrt(sys.float_info.min / TOL_AREA_REL)
 
 
 class PolygonError(ValueError):
@@ -355,18 +359,11 @@ def extreme_index(nrm: np.ndarray, theta) -> np.ndarray:
     return np.searchsorted(nrm, nrm[0] + np.mod(theta - nrm[0], TWO_PI), side="right")
 
 
-def signed_area2(pts) -> float:
-    """Twice the signed area of a vertex cycle, positive counterclockwise.
-
-    The shoelace sum is taken about vertex 0: on raw coordinates far from
-    the origin its terms cancel catastrophically and the sign is noise.
-    """
-    arr = np.asarray(pts, dtype=float)
-    return _shoelace(np.concatenate((arr, arr[:1])))
-
-
 def _shoelace(closed: np.ndarray) -> float:
-    """``signed_area2`` of a cycle whose last row repeats its first."""
+    """Twice the signed area of a vertex cycle whose last row repeats its
+    first, positive counterclockwise.  The shoelace sum is taken about
+    vertex 0: on raw coordinates far from the origin its terms cancel
+    catastrophically and the sign is noise."""
     x, y = (closed - closed[0]).T
     return float((x[:-1] * y[1:] - y[:-1] * x[1:]).sum())
 
@@ -388,8 +385,10 @@ def _check_polygon(arr: np.ndarray):
         if not np.isfinite(arr).all():
             raise PolygonError("non-finite vertex coordinate")
         raise PolygonError(f"vertex coordinates span {span:.6g}, above {MAX_SPAN:g}")
-    if span <= 0.0:
-        raise DuplicateVertex("all vertices coincide")
+    if span < MIN_SPAN:
+        if span <= 0.0:
+            raise DuplicateVertex("all vertices coincide")
+        raise PolygonError(f"vertex coordinates span {span:.6g}, below {MIN_SPAN:.6g}")
     tol_dup = TOL_GEOM_REL * span
     closed = np.concatenate((arr, arr[:2]))
     d = closed[1:] - closed[:-1]        # row n repeats edge 0
@@ -434,8 +433,8 @@ def validate_polygon(points: Sequence[tuple[float, float]]) -> ConvexPolygon:
 
     Raises TooFewVertices, NotStrictlyConvex (also for a boundary that
     winds around more than once), WrongOrientation or DuplicateVertex, and
-    PolygonError for non-finite coordinates, a span above MAX_SPAN or input
-    of any other shape; input order is preserved.
+    PolygonError for non-finite coordinates, a span above MAX_SPAN or below
+    MIN_SPAN, or input of any other shape; input order is preserved.
     """
     return ConvexPolygon(points)
 

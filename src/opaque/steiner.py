@@ -333,7 +333,8 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
     of the optimum), for terminals that are the vertices of a strictly
     convex counterclockwise polygon (``euclidean_mst`` raises ValueError
     otherwise).  Returns (nodes, edges, length, exact_flag); nodes start
-    with the terminals, junction points follow.
+    with the terminals, junction points follow.  Every node is an edge end,
+    and for terminals in convex position no two nodes are equal.
     """
     xy = read_points(points, "terminals")
     pts = list(map(Point2._make, xy.tolist()))
@@ -343,29 +344,37 @@ def steiner_tree(points) -> tuple[list[Point2], list[tuple[int, int]], float, bo
     if n == 2:
         return pts, [(0, 1)], math.dist(pts[0], pts[1]), True
     if n == 3:
-        f, on = steiner_three_points(*pts)
-        length = sum(math.dist(f, q) for q in pts)
-        if on is not None:
-            return pts, [(on, (on + 1) % 3), (on, (on + 2) % 3)], length, True
-        return pts + [f], [(3, 0), (3, 1), (3, 2)], length, True
+        return (*_steiner_three(pts), True)
+    # the terminals' scale: their bounding-box diagonal
+    diam = float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0))))
     if n == 4:
-        return _steiner_four(pts, xy)
-    return _steiner_heuristic(pts, xy)
+        return _steiner_four(pts, diam)
+    return _steiner_heuristic(pts, xy, diam)
 
 
-def _steiner_four(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
+def _steiner_three(pts: list[Point2]) -> tuple[list[Point2], list[tuple[int, int]], float]:
+    """Steiner tree of three terminals: (nodes, edges, length), the Fermat
+    point a fourth node only when it is not one of them."""
+    f, on = steiner_three_points(*pts)
+    length = sum(math.dist(f, q) for q in pts)
+    if on is not None:
+        return pts, [(on, (on + 1) % 3), (on, (on + 2) % 3)], length
+    return pts + [f], [(3, 0), (3, 1), (3, 2)], length
+
+
+def _steiner_four(pts, diam) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
     # no MST candidate: the MST has a leaf, and the 3+1 tree that skips it is
     # never longer (the three-point tree is at most the MST of the other three,
     # and the leaf's MST edge is its shortest edge to them)
     best_nodes, best_edges, best_len = None, None, math.inf
-    # the terminals' scale, as in _steiner_heuristic: their bounding-box diagonal
-    diam = float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0))))
+    tol = TOL_GEOM_REL * diam
 
     # full topologies ab|cd by Melzak's construction: e1 (e2) is the outward
     # equilateral apex on ab (cd), and each junction is the Fermat point of
     # its terminal pair and the other side's apex.  The length is measured on
     # the constructed nodes, so an invalid construction only loses to the
-    # 3+1 candidates.
+    # 3+1 candidates.  One with an edge of length tol or less is degenerate,
+    # a 3+1 tree, and the 3+1 candidates try those.
     for pair1, pair2 in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
         a, b = pts[pair1[0]], pts[pair1[1]]
         c, d = pts[pair2[0]], pts[pair2[1]]
@@ -373,49 +382,24 @@ def _steiner_four(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], float, 
         e2 = _outward_apex(c, d, ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
         s1, _ = steiner_three_points(a, b, e2)
         s2, _ = steiner_three_points(c, d, e1)
-        length = (math.dist(a, s1) + math.dist(b, s1) + math.dist(s1, s2)
-                  + math.dist(c, s2) + math.dist(d, s2))
-        if length < best_len:
-            nodes = list(pts) + [s1, s2]
-            edges = [(pair1[0], 4), (pair1[1], 4), (4, 5), (pair2[0], 5), (pair2[1], 5)]
-            best_nodes, best_edges, best_len = nodes, _drop_degenerate(nodes, edges, diam), length
+        sa, sb, mid = math.dist(a, s1), math.dist(b, s1), math.dist(s1, s2)
+        sc, sd = math.dist(c, s2), math.dist(d, s2)
+        length = sa + sb + mid + sc + sd
+        if length < best_len and min(sa, sb, mid, sc, sd) > tol:
+            best_nodes, best_len = pts + [s1, s2], length
+            best_edges = [(pair1[0], 4), (pair1[1], 4), (4, 5), (pair2[0], 5), (pair2[1], 5)]
 
-    # three-terminal star plus a shortest edge from the remaining terminal
+    # three-terminal tree plus a shortest edge from the remaining terminal
     for skip in range(4):
         tri = [i for i in range(4) if i != skip]
-        sub = [pts[i] for i in tri]
-        sub_nodes, sub_edges, sub_len, _ = steiner_tree(sub)
+        sub_nodes, sub_edges, sub_len = _steiner_three([pts[i] for i in tri])
         attach = min(range(len(sub_nodes)), key=lambda k: math.dist(pts[skip], sub_nodes[k]))
         length = sub_len + math.dist(pts[skip], sub_nodes[attach])
         if length < best_len:
-            nodes = list(pts) + [p for p in sub_nodes[3:]]
-            remap = {k: (tri[k] if k < 3 else 4) for k in range(len(sub_nodes))}
-            edges = [(remap[i], remap[j]) for i, j in sub_edges]
-            edges.append((skip, remap[attach]))
-            best_nodes, best_edges, best_len = nodes, edges, length
+            tri.append(4)   # the sub-tree's node k is node tri[k]
+            best_nodes, best_len = pts + sub_nodes[3:], length
+            best_edges = [(tri[i], tri[j]) for i, j in sub_edges] + [(skip, tri[attach])]
     return best_nodes, best_edges, best_len, True
-
-
-def _drop_degenerate(nodes, edges, diam):
-    """Collapse zero-length edges produced when a junction lands on a node."""
-    tol = TOL_GEOM_REL * diam
-    alias = list(range(len(nodes)))
-
-    def find(i):
-        while alias[i] != i:
-            alias[i] = alias[alias[i]]
-            i = alias[i]
-        return i
-
-    for i, j in edges:
-        if math.dist(nodes[i], nodes[j]) <= tol:
-            alias[find(max(i, j))] = find(min(i, j))
-    out = []
-    for i, j in edges:
-        fi, fj = find(i), find(j)
-        if fi != fj:
-            out.append((fi, fj))
-    return out
 
 
 def _wide_at_first(u, v, w) -> bool:
@@ -426,24 +410,27 @@ def _wide_at_first(u, v, w) -> bool:
     return ax * bx + ay * by <= _COS_WIDE * math.hypot(ax, ay) * math.hypot(bx, by)
 
 
-def _steiner_heuristic(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
-    """MST of the terminals ``pts`` (rows of ``xy``) improved by greedy Fermat-star merging.
+def _steiner_heuristic(pts, xy, diam) -> tuple[list[Point2], list[tuple[int, int]], float, bool]:
+    """MST of the terminals ``pts`` (rows of ``xy``, of scale ``diam``)
+    improved by greedy Fermat-star merging.
 
     Each round takes the star (u; v, w) of two tree edges at u whose Fermat
     point shortens the tree most, and joins u, v and w to that point (or to
-    one of them within TOL_GEOM_REL * diam of it).  The gain of a star is
-    computed once per call: nodes never move once appended.  Stars wait in
-    a heap keyed (-gain, u, v, w), v < w, pushed when their second edge
+    one of them within TOL_GEOM_REL * diam of it).  Stars wait in a heap of
+    entries (-gain, u, v, w, center), v < w, pushed when their second edge
     appears and dropped when they reach the top with an edge gone, so
     selection takes O((n + m) log n) for m merges instead of a scan of
-    every star each round.  Node ids follow the order nodes are added, so
+    every star each round.  A star's gain is computed when it is pushed,
+    once per call unless a merge snaps onto u, v or w and so adds back an
+    edge it removed; nodes never move once appended, so a second push
+    computes the same gain.  Node ids follow the order nodes are added, so
     the top is the star a scan of nodes and their sorted neighbours would
     pick first among the largest gains.
 
     Stars wide at u, screened by ``_wide_at_first``, skip
-    ``steiner_three_points`` and record gain 0.0 at u.  On vertices in
-    convex position nearly every star of two MST edges is wide, so this
-    saves most ``steiner_three_points`` calls, and it is exactly what
+    ``steiner_three_points`` and are not pushed, as with a gain of 0.0.  On
+    vertices in convex position nearly every star of two MST edges is wide,
+    so this saves most ``steiner_three_points`` calls, and it is exactly what
     ``steiner_three_points`` and the gain formula give:
       * the screened angle is at least 2*pi/3 + _WIDE_MARGIN.
         ``steiner_three_points`` tests index 0 first, by the same float
@@ -462,31 +449,23 @@ def _steiner_heuristic(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], fl
     """
     nodes = list(pts)
     edges, _ = euclidean_mst(xy)
-    diam = float(np.hypot(*(xy.max(axis=0) - xy.min(axis=0))))
     min_gain = TOL_LEN_REL * diam
     adj: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
 
-    # (gain, center) of merging star (u; v, w): nodes never move once
-    # appended, so each triple is computed once per call
-    merges: dict[tuple[int, int, int], tuple[float, Point2]] = {}
-    heap: list[tuple[float, int, int, int]] = []
+    heap: list[tuple[float, int, int, int, Point2]] = []
 
     def push(star):
-        if star not in merges:
-            pu, pv, pw = (nodes[k] for k in star)
-            if _wide_at_first(pu, pv, pw):
-                merges[star] = (0.0, pu)
-            else:
-                cur = math.dist(pu, pv) + math.dist(pu, pw)
-                center, _ = steiner_three_points(pu, pv, pw)
-                new = sum(math.dist(center, q) for q in (pu, pv, pw))
-                merges[star] = (cur - new, center)
-        gain = merges[star][0]
+        pu, pv, pw = (nodes[k] for k in star)
+        if _wide_at_first(pu, pv, pw):
+            return
+        cur = math.dist(pu, pv) + math.dist(pu, pw)
+        center, _ = steiner_three_points(pu, pv, pw)
+        gain = cur - sum(math.dist(center, q) for q in (pu, pv, pw))
         if gain > min_gain:
-            heapq.heappush(heap, (-gain, *star))
+            heapq.heappush(heap, (-gain, *star, center))
 
     for u in adj:
         nbrs = sorted(adj[u])
@@ -494,12 +473,11 @@ def _steiner_heuristic(pts, xy) -> tuple[list[Point2], list[tuple[int, int]], fl
             for bi in range(ai + 1, len(nbrs)):
                 push((u, nbrs[ai], nbrs[bi]))
     for _ in range(10 * len(pts)):
-        while heap and not adj[heap[0][1]].issuperset(heap[0][2:]):
+        while heap and not adj[heap[0][1]].issuperset(heap[0][2:4]):
             heapq.heappop(heap)
         if not heap:
             break
-        _, u, v, w = heapq.heappop(heap)
-        center = merges[u, v, w][1]
+        _, u, v, w, center = heapq.heappop(heap)
         adj[u].discard(v)
         adj[v].discard(u)
         adj[u].discard(w)

@@ -109,6 +109,17 @@ class TestCompute:
                                "--input", str(cw), "--auto-orient")
             assert code == 0, err
 
+    def test_auto_orient_overflowing_span(self, capsys, tmp_path):
+        # validation runs before any orientation test, so the span bound
+        # rejects these coordinates before a shoelace product overflows;
+        # warnings are errors here
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"vertices": [[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]]}))
+        code, out, err = run(capsys, "compute", "--method", "a1", "--input", str(big),
+                             "--auto-orient")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid polygon") and "above 1e+150" in err
+
     def test_svg_written(self, capsys, square_file, tmp_path):
         svg = tmp_path / "out.svg"
         code, _, _ = run(capsys, "compute", "--method", "a4",

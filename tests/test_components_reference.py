@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opaque import Barrier, algo_a2, algo_a4, interior_connected, random_convex_polygon
-from opaque.barriers import _tree_barrier
 from opaque.geometry import Point2
 
 from conftest import regular_ngon, truncated
@@ -147,37 +146,21 @@ def test_built_tree_runs_no_union(n, hull_883):
 
 
 def sorted_grouping(barrier):
-    """``component_points`` of a copy of ``barrier`` that is handed its one
-    component but not its points, so they come from the sort."""
-    copy = Barrier._of(barrier.all_points().copy(), list(barrier.sizes), barrier.kind,
-                       one_component(barrier))
+    """``component_points`` of a copy of ``barrier`` that is handed neither
+    its component nor its points, so they come from the union and the sort."""
+    copy = Barrier._of(barrier.all_points().copy(), list(barrier.sizes), barrier.kind)
     assert "component_points" not in vars(copy)
     return copy.component_points
 
 
 def test_built_tree_points_equal_the_sort(ratio_polys):
-    # a built tree is handed its distinct points, first occurrence first,
-    # unless two of its nodes share coordinates (a four-terminal tree whose
-    # junction lands on a terminal); the sort over its rows must find the
-    # same, bit for bit
-    handed = 0
+    # every built tree is handed its distinct points, first occurrence
+    # first; the sort over its rows must find the same, bit for bit
     for poly in ratio_polys:
         barrier = interior_connected(poly).barrier
-        handed += "component_points" in vars(barrier)
+        assert "component_points" in vars(barrier)
         pts, ends = barrier.component_points
         want_pts, want_ends = sorted_grouping(barrier)
         assert ends == want_ends
         np.testing.assert_array_equal(pts.view(np.int64), want_pts.view(np.int64))
         assert not pts.flags.writeable
-    assert len(ratio_polys) > handed > 0.9 * len(ratio_polys)
-
-
-def test_tree_with_shared_node_coordinates_sorts():
-    # node 3 repeats node 0's coordinates (-0.0 equal to 0.0): the tree is
-    # not handed its points, and the sort merges the two nodes' rows
-    terminals = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    nodes = [Point2(*p) for p in terminals] + [Point2(-0.0, 0.0)]
-    barrier = _tree_barrier(terminals, nodes, [(0, 1), (3, 2)])
-    assert "component_points" not in vars(barrier)
-    assert_same_grouping(barrier)
-    assert barrier.component_points[1] == [3]

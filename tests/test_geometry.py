@@ -16,12 +16,15 @@ from opaque import (
     TooFewVertices,
     WrongOrientation,
     algo_a3,
+    is_opaque,
     min_perimeter_rectangle,
     min_width,
     random_convex_polygon,
     validate_polygon,
 )
+from opaque.cli import METHODS
 from opaque.geometry import (
+    MIN_SPAN,
     ROUNDING_COVER,
     SNAP_ANG,
     TWO_PI,
@@ -108,6 +111,21 @@ class TestValidation:
         poly = validate_polygon([(0, 0), (7e149, 0), (0, 7e149)])
         assert math.isfinite(poly.diameter) and all(map(math.isfinite, poly.tol))
         assert poly.perimeter == pytest.approx(7e149 * (2 + math.sqrt(2)))
+
+    def test_tiny_span_rejected(self):
+        # below MIN_SPAN the turns and TOL_AREA_REL * span**2 underflow to 0,
+        # and a valid heptagon would read as "collinear or reflex turn"
+        with pytest.raises(PolygonError, match="span .*, below 1.49167e-148") as exc:
+            validate_polygon(regular_ngon(7).coords * 1e-165)
+        assert type(exc.value) is PolygonError
+
+    def test_span_at_lower_bound_verifies(self):
+        hept = regular_ngon(7).coords
+        pts = hept * (MIN_SPAN / math.hypot(*np.ptp(hept, axis=0)))
+        assert math.hypot(*np.ptp(pts, axis=0)) == MIN_SPAN
+        poly = validate_polygon(pts)
+        for method in METHODS.values():
+            assert is_opaque(poly, method(poly).barrier).opaque
 
     def test_far_translated_hulls_validate(self):
         # the shoelace sum on raw coordinates 1e9 diameters from the origin

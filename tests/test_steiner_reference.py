@@ -5,11 +5,13 @@ The reference below is the direct formulation: each full topology ab|cd
 starts its two junctions at the pair midpoints and alternates Fermat-point
 updates, junction 1 from (a, b, junction 2) and junction 2 from (c, d,
 junction 1), until neither moves by more than 1e-12 * diameter, then the
-MST and the 3+1 trees compete as in the solver.  Where a full topology
-collapses onto a 3+1 tree of equal length, the two solvers may keep
-different node lists, so the trees are compared as sets of segments; where
-float ties let the solver pick a different tree, the reference must rate
-both picks equally.
+MST and the 3+1 trees compete as in the solver.  A full topology's edges
+of up to 1e-9 * diameter are collapsed (``collapse_degenerate``), as the
+replaced solver did; the solver leaves such a topology to the 3+1 trees.
+Where a full topology collapses onto a 3+1 tree of equal length, the two
+solvers may keep different node lists, so the trees are compared as sets
+of segments; where float ties let the solver pick a different tree, the
+reference must rate both picks equally.
 """
 
 import math
@@ -17,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from opaque.steiner import _drop_degenerate, steiner_three_points, steiner_tree
+from opaque.steiner import steiner_three_points, steiner_tree
 
 from conftest import ref_mst
 
@@ -47,7 +49,7 @@ def ref_four_candidates(pts):
                   + math.dist(c, s2) + math.dist(d, s2))
         nodes = list(pts) + [s1, s2]
         edges = [(pair1[0], 4), (pair1[1], 4), (4, 5), (pair2[0], 5), (pair2[1], 5)]
-        cands.append((length, nodes, _drop_degenerate(nodes, edges, diam)))
+        cands.append((length, nodes, collapse_degenerate(nodes, edges, diam)))
     for skip in range(4):
         tri = [i for i in range(4) if i != skip]
         sub_nodes, sub_edges, sub_len, _ = steiner_tree([pts[i] for i in tri])
@@ -59,6 +61,24 @@ def ref_four_candidates(pts):
         edges.append((skip, remap[attach]))
         cands.append((length, nodes, edges))
     return cands
+
+
+def collapse_degenerate(nodes, edges, diam):
+    """The edges with those of length at most 1e-9 * diam collapsed, each
+    onto its lower node."""
+    tol = 1e-9 * diam
+    alias = list(range(len(nodes)))
+
+    def find(i):
+        while alias[i] != i:
+            alias[i] = alias[alias[i]]
+            i = alias[i]
+        return i
+
+    for i, j in edges:
+        if math.dist(nodes[i], nodes[j]) <= tol:
+            alias[find(max(i, j))] = find(min(i, j))
+    return [(find(i), find(j)) for i, j in edges if find(i) != find(j)]
 
 
 def segments(nodes, edges, tol):
@@ -120,3 +140,14 @@ def test_four_terminal_tree_matches_fixed_point(chunk):
         got = segments(nodes, edges, tol)
         assert any(same_segments(got, segments(n, e, tol), tol)
                    for ln, n, e in cands if ln <= ref[0] + REL_LEN * diam), pts
+
+
+def test_tree_nodes_are_distinct_edge_ends(ratio_polys):
+    # no repair pass leaves a junction behind: every node is an edge end,
+    # and no two nodes are equal
+    quads = [poly.coords for poly in ratio_polys if len(poly) == 4]
+    assert quads
+    for pts in four_point_sets() + quads:
+        nodes, edges, _, _ = steiner_tree(pts)
+        assert {k for edge in edges for k in edge} == set(range(len(nodes))), pts
+        assert len(set(nodes)) == len(nodes), pts
