@@ -448,6 +448,14 @@ def algo_a4(poly: ConvexPolygon) -> BarrierSolution:
 # Exact interior barriers
 
 
+# DP rows of hamiltonian_path_tables are certified, measured and flagged in
+# blocks of about ROW_BLOCK elements
+ROW_BLOCK = 1 << 15
+# below this many vertices a DP row costs its numpy calls, not its
+# elements, and a jump often wins within the first rows: no row is certified
+WALK_MIN = 32
+
+
 def hamiltonian_path_tables(poly: ConvexPolygon):
     """Circular-run DP for the minimum Hamiltonian path of the vertices.
 
@@ -455,58 +463,123 @@ def hamiltonian_path_tables(poly: ConvexPolygon):
     index i: S paths start at the run's first vertex i, T paths at its
     last, i+L.  Each row needs one diagonal of distances and the row
     before it, so only two float rows are kept; row n-1 is the shortest
-    path from each start vertex.  Returns (lengths, choice_s, choice_t),
-    where choice_s[L, i] (choice_t[L, i]) is set when the S (T) path
-    steps to the far end of its run.
+    path from each start vertex.  Returns (lengths, jumps): ``jumps`` maps
+    each row L where some path steps to the far end of its run to its
+    (2, n) flags, choice_s (row 0) and choice_t (row 1) of that row.
 
-    A row is eleven ufunc calls into buffers allocated before the loop:
-    S and T have length n + 1 with entry n repeating entry 0, so the row
-    shifted by one vertex is the slice [1:], and the new S row goes to a
-    second buffer because the new T row still reads the old one.
+    Most rows are boundary walks, where no jump wins: ``_walk_rows`` steps
+    them two additions each.  From the first row it cannot certify, rows
+    run the full recurrence, a block at a time: one np.hypot for the
+    block's chords, then eight ufunc calls a row into buffers allocated
+    before the loop.  S and T have length n + 1 with entry n repeating
+    entry 0, so the row shifted by one vertex is the slice [1:], and the
+    new S row goes to a second buffer because the new T row still reads
+    the old one.
     """
     n = len(poly.coords)
     x2, y2 = np.concatenate([poly.coords, poly.coords]).T.copy()
     x, y = x2[:n], y2[:n]
+    # row L of a window is the vertices L, L+1, ..., L+n-1
+    xw, yw = (np.ndarray((n, n), float, v, 0, (v.itemsize,) * 2) for v in (x2, y2))
     dnext = poly.edge_lengths
     dnext2 = np.concatenate([dnext, dnext])
     S = np.append(dnext, dnext[0])
     T = S.copy()
-    S_new, dspan, dy, opt = np.empty(n + 1), np.empty(n), np.empty(n), np.empty(n)
-    cs = np.zeros((n, n), dtype=bool)
-    ct = np.zeros_like(cs)
-    for L in range(2, n):
-        np.subtract(x2[L:L + n], x, out=dspan)
-        np.subtract(y2[L:L + n], y, out=dy)
-        np.hypot(dspan, dy, out=dspan)
-        s, t = S_new[:n], T[:n]
-        np.add(dnext, S[1:], out=s)            # S steps to the next vertex
-        np.add(dspan, T[1:], out=opt)          # S jumps to the run's far end
-        np.less(opt, s, out=cs[L])
-        np.minimum(s, opt, out=s)
-        np.add(dspan, S[:n], out=opt)          # T jumps to the run's start
-        np.add(dnext2[L - 1:L - 1 + n], t, out=t)  # T steps to the previous vertex
-        np.less(opt, t, out=ct[L])
-        np.minimum(t, opt, out=t)
-        S_new[n] = S_new[0]
-        T[n] = T[0]
-        S, S_new = S_new, S
-    return S[:n], cs, ct
+    first = _walk_rows(xw, yw, dnext2, S, T) if n >= WALK_MIN else 2
+    S_new, opt = np.empty(n + 1), np.empty(n)
+    s_views = (S_new, S_new[:n], S[1:], S[:n]), (S, S[:n], S_new[1:], S_new[:n])
+    t, T1 = T[:n], T[1:]
+    m = max(1, min(n - first, ROW_BLOCK // n))
+    dist, dy = np.empty((m, n)), np.empty((m, n))
+    jumps, flip = {}, 0
+    for L0 in range(first, n, m):
+        k = min(m, n - L0)
+        d = dist[:k]
+        np.subtract(xw[L0:L0 + k], x, out=d)
+        np.subtract(yw[L0:L0 + k], y, out=dy[:k])
+        np.hypot(d, dy[:k], out=d)
+        flags = np.empty((k, 2, n), dtype=bool)
+        for j in range(k):
+            s_new, s, s_from, s_at = s_views[flip]
+            flip ^= 1
+            dj = d[j]
+            np.add(dnext, s_from, out=s)           # S steps to the next vertex
+            np.add(dj, T1, out=opt)                # S jumps to the run's far end
+            np.less(opt, s, out=flags[j, 0])
+            np.minimum(s, opt, out=s)
+            np.add(dj, s_at, out=opt)              # T jumps to the run's start
+            np.add(dnext2[L0 + j - 1:L0 + j - 1 + n], t, out=t)  # T steps to the previous vertex
+            np.less(opt, t, out=flags[j, 1])
+            np.minimum(t, opt, out=t)
+            s_new[n] = s_new[0]
+            T[n] = T[0]
+        hit = flags.reshape(k, -1).any(axis=1).nonzero()[0]
+        for j, row in zip(hit.tolist(), flags[hit]):
+            jumps[L0 + j] = row
+    return s_views[flip ^ 1][0][:n].copy(), jumps
 
 
-def _reconstruct_path(choice_s, choice_t, i: int) -> list[int]:
-    """Vertex order of the DP's shortest path from start vertex i."""
-    n = len(choice_s)
+def _walk_rows(xw, yw, dnext2, S, T) -> int:
+    """Steps DP rows 2, 3, ... as boundary walks, S and T each by one
+    addition, about ROW_BLOCK elements at a time, until a row where some
+    jump wins; returns that row (n if none), with ``S`` and ``T`` holding
+    the row before it.
+
+    With low = max(|dx|, |dy|) of the chord, an element is certified when
+    low + T[i+1] >= S'[i] and low + S[i] >= T'[i] (S', T' the stepped
+    row).  np.hypot is faithfully rounded, so it is at least low, and
+    rounded addition is monotone: neither jump is shorter than its step,
+    and the minima are the steps, bit for bit.  Only the elements that are
+    not certified pay np.hypot, to see whether a jump wins there."""
+    n = len(S) - 1
+    m = max(1, ROW_BLOCK // n)
+    x, y, dnext = xw[0], yw[0], dnext2[:n]
+    SB, TB = np.empty((m + 1, n + 1)), np.empty((m + 1, n + 1))
+    low, tmp = np.empty((m, n)), np.empty((m, n))
+    ok, ok_t = np.empty((m, n), dtype=bool), np.empty((m, n), dtype=bool)
+    L = 2
+    while L < n:
+        k = min(m, n - L)
+        SB[0], TB[0] = S, T
+        for j in range(k):
+            np.add(dnext, SB[j, 1:], out=SB[j + 1, :n])
+            SB[j + 1, n] = SB[j + 1, 0]
+            np.add(dnext2[L + j - 1:L + j + n], TB[j], out=TB[j + 1])
+        lo, tm, o, o_t = low[:k], tmp[:k], ok[:k], ok_t[:k]
+        np.abs(np.subtract(xw[L:L + k], x, out=lo), out=lo)
+        np.abs(np.subtract(yw[L:L + k], y, out=tm), out=tm)
+        np.maximum(lo, tm, out=lo)
+        np.greater_equal(np.add(lo, TB[:k, 1:], out=tm), SB[1:k + 1, :n], out=o)
+        np.greater_equal(np.add(lo, SB[:k, :n], out=tm), TB[1:k + 1, :n], out=o_t)
+        done = k
+        if not np.logical_and(o, o_t, out=o).all():
+            r, i = np.divmod(np.flatnonzero(np.logical_not(o, out=o)), n)
+            d = np.hypot(xw[L + r, i] - x[i], yw[L + r, i] - y[i])
+            win = np.flatnonzero((d + TB[r, i + 1] < SB[r + 1, i]) | (d + SB[r, i] < TB[r + 1, i]))
+            if len(win):
+                done = int(r[win[0]])
+        S[:], T[:] = SB[done], TB[done]
+        L += done
+        if done < k:
+            break
+    return L
+
+
+def _reconstruct_path(jumps: dict, n: int, i: int) -> list[int]:
+    """Vertex order of the DP's shortest path from start vertex i, from
+    the flag rows of ``hamiltonian_path_tables``."""
     mode, L = "S", n - 1
     out = []
     while L > 1:
+        flags = jumps.get(L)
         if mode == "S":
             out.append(i)
-            if choice_s[L, i]:
+            if flags is not None and flags[0, i]:
                 mode = "T"
             i = (i + 1) % n
         else:
             out.append((i + L) % n)
-            if choice_t[L, i]:
+            if flags is not None and flags[1, i]:
                 mode = "S"
         L -= 1
     if mode == "S":
@@ -518,11 +591,12 @@ def _reconstruct_path(choice_s, choice_t, i: int) -> list[int]:
 
 def interior_single_arc(poly: ConvexPolygon) -> BarrierSolution:
     """Optimal single-arc interior barrier: minimum Hamiltonian path of the
-    vertices, by the circular-run dynamic program."""
-    lengths, choice_s, choice_t = hamiltonian_path_tables(poly)
-    order = _reconstruct_path(choice_s, choice_t, int(np.argmin(lengths)))
+    vertices, by the circular-run dynamic program.  ``jump_rows`` counts
+    the DP rows where some path jumps to the far end of its run."""
+    lengths, jumps = hamiltonian_path_tables(poly)
+    order = _reconstruct_path(jumps, len(lengths), int(np.argmin(lengths)))
     barrier = Barrier._of(poly.coords[order], [len(order)], "single-arc")
-    return _solution(poly, barrier, "interior-arc", {"order": order})
+    return _solution(poly, barrier, "interior-arc", {"order": order, "jump_rows": len(jumps)})
 
 
 def interior_connected(poly: ConvexPolygon) -> BarrierSolution:

@@ -40,7 +40,9 @@ METHODS = {
     "interior-tree": interior_connected,
 }
 
-FAMILIES = ("ngon", "random-hull", "thin", "reuleaux")
+# each bench family and its smallest size: vertices of an n-gon or hull,
+# the long side of a thin rectangle, the arcs of a Reuleaux polygon
+FAMILIES = {"ngon": 3, "random-hull": 3, "thin": 1, "reuleaux": 1}
 BENCH_METHODS = ("a1", "a2", "a3", "a4")
 
 
@@ -243,6 +245,11 @@ def cmd_bench(args) -> int:
         sizes = range(int(lo), int(hi) + 1)
     except ValueError:
         print(f"bad sizes range {args.sizes!r}; expected a..b", file=sys.stderr)
+        return 2
+    smallest = FAMILIES[args.family]
+    if sizes and sizes[0] < smallest:
+        print(f"bad sizes range {args.sizes!r}: the {args.family} family starts "
+              f"at size {smallest}", file=sys.stderr)
         return 2
     print("instance\tmethod\tlength\thalf_perimeter\tratio")
     try:

@@ -248,6 +248,18 @@ class TestBench:
                if l.split("\t")[1] == "a1"][0]
         assert float(row.split("\t")[4]) <= 1 + 2 * 1 / 202 + 1e-9
 
+    @pytest.mark.parametrize("family, sizes, smallest", [
+        ("random-hull", "1..3", 3), ("ngon", "2..3", 3), ("thin", "0..1", 1), ("reuleaux", "0..2", 1)])
+    def test_range_below_smallest_size(self, capsys, family, sizes, smallest):
+        # rejected before the header, naming the family and its smallest size
+        code, out, err = run(capsys, "bench", "--family", family, "--sizes", sizes)
+        assert code == 2 and out == ""
+        assert err == (f"bad sizes range {sizes!r}: the {family} family starts "
+                       f"at size {smallest}\n")
+        lo = str(smallest)
+        code, out, _ = run(capsys, "bench", "--family", family, "--sizes", f"{lo}..{lo}")
+        assert code == 0 and out.count("\n") == 1 + 4
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "bench", "--family", "torus",
                            "--sizes", "1..2")

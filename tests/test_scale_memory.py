@@ -7,8 +7,10 @@ however many critical directions there are, and a barrier with a
 polygon vertex outside its hull, or whose component hulls touch and
 whose hull holds the polygon, needs no directions at all: the hull test
 is O(n + m).  The interior-arc DP
-keeps two float rows, so its memory is the 2n^2 bytes of its choice
-tables.  Polygon set-up (validation, the diameter, the minimum width)
+keeps two float rows, blocks of about ROW_BLOCK elements, and 2n bytes of
+flags for each row where a jump wins: on a regular polygon that is one
+row, and a 1500-vertex ellipse of aspect 1e-3 keeps every row, the 2n^2
+bytes the full choice tables took.  Polygon set-up (validation, the diameter, the minimum width)
 keeps a few O(n) arrays: a closed copy of the vertices and one far vertex
 window of three per edge.  Peaks are measured with tracemalloc and never
 timed: tracing slows Python loops many fold, so times are taken untraced.
@@ -77,9 +79,21 @@ def test_large_polygon_peak_memory(shape, method):
 
 
 def test_interior_arc_peak_memory():
-    # two float rows and two n x n bool choice tables (32 MB); one n x n
-    # float array alone would take 128 MB
-    assert peak_bytes(interior_single_arc, regular_ngon(4096)) < 64 * MB
+    # a jump wins only in the last row: two float rows, the walk's blocks
+    # and one flag row (2.1 MB); the two n x n bool choice tables alone
+    # took 128 MB
+    assert peak_bytes(interior_single_arc, regular_ngon(8192)) < 8 * MB
+
+
+def test_interior_arc_thin_peak_memory():
+    # a jump wins in every row: the flag rows are the 2n^2 bytes of the
+    # full choice tables (7.6 MB); beyond them, blocks of ROW_BLOCK floats
+    # and one (2, n) array per row
+    n = 2000
+    t = 0.1 + 2.0 * math.pi * np.arange(n) / n
+    poly = validate_polygon(np.column_stack([np.cos(t), 1e-3 * np.sin(t)]))
+    assert interior_single_arc(poly).extras["jump_rows"] == n - 2
+    assert peak_bytes(interior_single_arc, poly) < 2 * n * n + 2 * MB
 
 
 def test_a2_odd_ngon_peak_memory():
