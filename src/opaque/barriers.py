@@ -462,19 +462,28 @@ def hamiltonian_path_tables(poly: ConvexPolygon):
     Row L covers the runs of L+1 consecutive vertices starting at each
     index i: S paths start at the run's first vertex i, T paths at its
     last, i+L.  Each row needs one diagonal of distances and the row
-    before it, so only two float rows are kept; row n-1 is the shortest
-    path from each start vertex.  Returns (lengths, jumps): ``jumps`` maps
-    each row L where some path steps to the far end of its run to its
-    (2, n) flags, choice_s (row 0) and choice_t (row 1) of that row.
+    before it; row n-1 is the shortest path from each start vertex.
+    Returns (lengths, jumps): ``jumps`` maps each row L where some path
+    steps to the far end of its run to its (2, n) flags, choice_s (row 0)
+    and choice_t (row 1) of that row.
 
-    Most rows are boundary walks, where no jump wins: ``_walk_rows`` steps
-    them two additions each.  From the first row it cannot certify, rows
-    run the full recurrence, a block at a time: one np.hypot for the
-    block's chords, then eight ufunc calls a row into buffers allocated
-    before the loop.  S and T have length n + 1 with entry n repeating
-    entry 0, so the row shifted by one vertex is the slice [1:], and the
-    new S row goes to a second buffer because the new T row still reads
-    the old one.
+    One loop steps the rows in blocks of m, about ROW_BLOCK elements and
+    at most the n - 2 rows there are, through one pair of (m + 1, n + 1)
+    buffers; entry n of a row repeats entry 0, so the row shifted by one
+    vertex is the slice [1:].  Most rows are boundary walks, where no jump
+    wins: from WALK_MIN vertices, a block is stepped into buffer rows
+    1..k, two additions a row, and certified at once.  With low =
+    max(|dx|, |dy|) of the chord, an element is certified when low +
+    T[i+1] >= S'[i] and low + S[i] >= T'[i] (S', T' the stepped row).
+    np.hypot is faithfully rounded, so it is at least low, and rounded
+    addition is monotone: neither jump is shorter than its step, and the
+    minima are the steps, bit for bit.  Only the elements that are not
+    certified pay np.hypot, to see whether a jump wins there.  The rows
+    before the first row where one does are kept, and from that row on
+    every row runs the full recurrence: one np.hypot for the block's
+    chords, then eight ufunc calls a row.  S alternates between buffer
+    rows 0 and 1, because the new T row still reads the old S row; T is
+    stepped in place in row 0.
     """
     n = len(poly.coords)
     x2, y2 = np.concatenate([poly.coords, poly.coords]).T.copy()
@@ -483,86 +492,61 @@ def hamiltonian_path_tables(poly: ConvexPolygon):
     xw, yw = (np.ndarray((n, n), float, v, 0, (v.itemsize,) * 2) for v in (x2, y2))
     dnext = poly.edge_lengths
     dnext2 = np.concatenate([dnext, dnext])
-    S = np.append(dnext, dnext[0])
-    T = S.copy()
-    first = _walk_rows(xw, yw, dnext2, S, T) if n >= WALK_MIN else 2
-    S_new, opt = np.empty(n + 1), np.empty(n)
-    s_views = (S_new, S_new[:n], S[1:], S[:n]), (S, S[:n], S_new[1:], S_new[:n])
-    t, T1 = T[:n], T[1:]
-    m = max(1, min(n - first, ROW_BLOCK // n))
-    dist, dy = np.empty((m, n)), np.empty((m, n))
-    jumps, flip = {}, 0
-    for L0 in range(first, n, m):
-        k = min(m, n - L0)
-        d = dist[:k]
-        np.subtract(xw[L0:L0 + k], x, out=d)
-        np.subtract(yw[L0:L0 + k], y, out=dy[:k])
-        np.hypot(d, dy[:k], out=d)
-        flags = np.empty((k, 2, n), dtype=bool)
-        for j in range(k):
-            s_new, s, s_from, s_at = s_views[flip]
-            flip ^= 1
-            dj = d[j]
-            np.add(dnext, s_from, out=s)           # S steps to the next vertex
-            np.add(dj, T1, out=opt)                # S jumps to the run's far end
-            np.less(opt, s, out=flags[j, 0])
-            np.minimum(s, opt, out=s)
-            np.add(dj, s_at, out=opt)              # T jumps to the run's start
-            np.add(dnext2[L0 + j - 1:L0 + j - 1 + n], t, out=t)  # T steps to the previous vertex
-            np.less(opt, t, out=flags[j, 1])
-            np.minimum(t, opt, out=t)
-            s_new[n] = s_new[0]
-            T[n] = T[0]
-        hit = flags.reshape(k, -1).any(axis=1).nonzero()[0]
-        for j, row in zip(hit.tolist(), flags[hit]):
-            jumps[L0 + j] = row
-    return s_views[flip ^ 1][0][:n].copy(), jumps
-
-
-def _walk_rows(xw, yw, dnext2, S, T) -> int:
-    """Steps DP rows 2, 3, ... as boundary walks, S and T each by one
-    addition, about ROW_BLOCK elements at a time, until a row where some
-    jump wins; returns that row (n if none), with ``S`` and ``T`` holding
-    the row before it.
-
-    With low = max(|dx|, |dy|) of the chord, an element is certified when
-    low + T[i+1] >= S'[i] and low + S[i] >= T'[i] (S', T' the stepped
-    row).  np.hypot is faithfully rounded, so it is at least low, and
-    rounded addition is monotone: neither jump is shorter than its step,
-    and the minima are the steps, bit for bit.  Only the elements that are
-    not certified pay np.hypot, to see whether a jump wins there."""
-    n = len(S) - 1
-    m = max(1, ROW_BLOCK // n)
-    x, y, dnext = xw[0], yw[0], dnext2[:n]
+    m = max(1, min(n - 2, ROW_BLOCK // n))
     SB, TB = np.empty((m + 1, n + 1)), np.empty((m + 1, n + 1))
-    low, tmp = np.empty((m, n)), np.empty((m, n))
-    ok, ok_t = np.empty((m, n), dtype=bool), np.empty((m, n), dtype=bool)
-    L = 2
+    SB[0, :n], SB[0, n] = dnext, dnext[0]
+    TB[0] = SB[0]
+    # the walk's low bounds and certified elements, or the full
+    # recurrence's chords and jump flags
+    low, tmp, opt = np.empty((m, n)), np.empty((m, n)), np.empty(n)
+    flags = np.empty((2, m, n), dtype=bool)
+    s_views = (SB[1], SB[1, :n], SB[0, 1:], SB[0, :n]), (SB[0], SB[0, :n], SB[1, 1:], SB[1, :n])
+    t, T1 = TB[0, :n], TB[0, 1:]
+    jumps, cur, walk, L = {}, 0, n >= WALK_MIN, 2
     while L < n:
         k = min(m, n - L)
-        SB[0], TB[0] = S, T
+        lo, tm, f_s, f_t = low[:k], tmp[:k], flags[0, :k], flags[1, :k]
+        if walk:
+            for j in range(k):
+                np.add(dnext, SB[j, 1:], out=SB[j + 1, :n])
+                SB[j + 1, n] = SB[j + 1, 0]
+                np.add(dnext2[L + j - 1:L + j + n], TB[j], out=TB[j + 1])
+            np.abs(np.subtract(xw[L:L + k], x, out=lo), out=lo)
+            np.abs(np.subtract(yw[L:L + k], y, out=tm), out=tm)
+            np.maximum(lo, tm, out=lo)
+            np.greater_equal(np.add(lo, TB[:k, 1:], out=tm), SB[1:k + 1, :n], out=f_s)
+            np.greater_equal(np.add(lo, SB[:k, :n], out=tm), TB[1:k + 1, :n], out=f_t)
+            done = k
+            if not np.logical_and(f_s, f_t, out=f_s).all():
+                r, i = np.divmod(np.flatnonzero(np.logical_not(f_s, out=f_s)), n)
+                d = np.hypot(xw[L + r, i] - x[i], yw[L + r, i] - y[i])
+                win = np.flatnonzero((d + TB[r, i + 1] < SB[r + 1, i]) | (d + SB[r, i] < TB[r + 1, i]))
+                if len(win):
+                    done, walk = int(r[win[0]]), False
+            SB[0], TB[0] = SB[done], TB[done]
+            L += done
+            continue
+        np.subtract(xw[L:L + k], x, out=lo)
+        np.subtract(yw[L:L + k], y, out=tm)
+        np.hypot(lo, tm, out=lo)
         for j in range(k):
-            np.add(dnext, SB[j, 1:], out=SB[j + 1, :n])
-            SB[j + 1, n] = SB[j + 1, 0]
-            np.add(dnext2[L + j - 1:L + j + n], TB[j], out=TB[j + 1])
-        lo, tm, o, o_t = low[:k], tmp[:k], ok[:k], ok_t[:k]
-        np.abs(np.subtract(xw[L:L + k], x, out=lo), out=lo)
-        np.abs(np.subtract(yw[L:L + k], y, out=tm), out=tm)
-        np.maximum(lo, tm, out=lo)
-        np.greater_equal(np.add(lo, TB[:k, 1:], out=tm), SB[1:k + 1, :n], out=o)
-        np.greater_equal(np.add(lo, SB[:k, :n], out=tm), TB[1:k + 1, :n], out=o_t)
-        done = k
-        if not np.logical_and(o, o_t, out=o).all():
-            r, i = np.divmod(np.flatnonzero(np.logical_not(o, out=o)), n)
-            d = np.hypot(xw[L + r, i] - x[i], yw[L + r, i] - y[i])
-            win = np.flatnonzero((d + TB[r, i + 1] < SB[r + 1, i]) | (d + SB[r, i] < TB[r + 1, i]))
-            if len(win):
-                done = int(r[win[0]])
-        S[:], T[:] = SB[done], TB[done]
-        L += done
-        if done < k:
-            break
-    return L
+            s_new, s, s_from, s_at = s_views[cur]
+            cur ^= 1
+            dj = lo[j]
+            np.add(dnext, s_from, out=s)           # S steps to the next vertex
+            np.add(dj, T1, out=opt)                # S jumps to the run's far end
+            np.less(opt, s, out=f_s[j])
+            np.minimum(s, opt, out=s)
+            np.add(dj, s_at, out=opt)              # T jumps to the run's start
+            np.add(dnext2[L + j - 1:L + j - 1 + n], t, out=t)  # T steps to the previous vertex
+            np.less(opt, t, out=f_t[j])
+            np.minimum(t, opt, out=t)
+            s_new[n] = s_new[0]
+            TB[0, n] = TB[0, 0]
+        hit = flags[:, :k].any(axis=(0, 2)).nonzero()[0]
+        jumps.update(zip((L + hit).tolist(), flags[:, hit].swapaxes(0, 1)))
+        L += k
+    return SB[cur, :n].copy(), jumps
 
 
 def _reconstruct_path(jumps: dict, n: int, i: int) -> list[int]:

@@ -116,6 +116,8 @@ def write_svg(path: str, poly: ConvexPolygon, barrier: Barrier | None,
     The viewport is the polygon bounding box inflated by 15 percent; the
     barrier stroke width is 0.8 percent of the polygon diameter.  The y
     axis is flipped so the drawing matches mathematical orientation.
+    Coordinates are written from the viewport's top left corner, so a
+    polygon far from the origin keeps its shape at six digits.
     """
     (x0, y0), (x1, y1) = poly.coords.min(axis=0).tolist(), poly.coords.max(axis=0).tolist()
     pad = max(0.15 * (x1 - x0), 0.15 * (y1 - y0), 0.15 * poly.diameter * 0.1)
@@ -124,12 +126,12 @@ def write_svg(path: str, poly: ConvexPolygon, barrier: Barrier | None,
 
     def pt(p):
         # flip y so counterclockwise stays counterclockwise on screen
-        return f"{p[0]:.6g},{y0 + y1 - p[1]:.6g}"
+        return f"{p[0] - x0:.6g},{y1 - p[1]:.6g}"
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{x0:.6g} {y0:.6g} {x1 - x0:.6g} {y1 - y0:.6g}" '
+        f'viewBox="0 0 {x1 - x0:.6g} {y1 - y0:.6g}" '
         f'width="640" height="{max(1, int(640 * (y1 - y0) / (x1 - x0)))}">',
         f'<polygon points="{" ".join(pt(v) for v in poly.coords.tolist())}" '
         f'fill="#dbe9f6" stroke="#5b8db8" stroke-width="{stroke / 2:.6g}"/>',
@@ -143,15 +145,14 @@ def write_svg(path: str, poly: ConvexPolygon, barrier: Barrier | None,
     if witness_line is not None:
         (ax, ay), (bx, by) = witness_line
         lines.append(
-            f'<line x1="{ax:.6g}" y1="{y0 + y1 - ay:.6g}" '
-            f'x2="{bx:.6g}" y2="{y0 + y1 - by:.6g}" '
+            f'<line x1="{ax - x0:.6g}" y1="{y1 - ay:.6g}" '
+            f'x2="{bx - x0:.6g}" y2="{y1 - by:.6g}" '
             f'stroke="#27ae60" stroke-width="{stroke:.6g}" '
             f'stroke-dasharray="{3 * stroke:.6g},{2 * stroke:.6g}"/>')
     font = max(0.05 * (y1 - y0), 1e-9)
     for k, text in enumerate(labels):
         lines.append(
-            f'<text x="{x0 + 0.3 * font:.6g}" '
-            f'y="{y0 + (k + 1.2) * 1.1 * font:.6g}" '
+            f'<text x="{0.3 * font:.6g}" y="{(k + 1.2) * 1.1 * font:.6g}" '
             f'font-family="sans-serif" font-size="{font:.6g}" '
             f'fill="#333">{text}</text>')
     lines.append("</svg>")
@@ -247,9 +248,9 @@ def cmd_bench(args) -> int:
         print(f"bad sizes range {args.sizes!r}; expected a..b", file=sys.stderr)
         return 2
     smallest = FAMILIES[args.family]
-    if sizes and sizes[0] < smallest:
-        print(f"bad sizes range {args.sizes!r}: the {args.family} family starts "
-              f"at size {smallest}", file=sys.stderr)
+    if not sizes or sizes[0] < smallest:
+        why = f"the {args.family} family starts at size {smallest}" if sizes else "it is empty"
+        print(f"bad sizes range {args.sizes!r}: {why}", file=sys.stderr)
         return 2
     print("instance\tmethod\tlength\thalf_perimeter\tratio")
     try:
@@ -268,11 +269,12 @@ def cmd_fixture(args) -> int:
     params = {}
     for item in args.param:
         key, _, value = item.partition("=")
+        count = key in ("n", "m")    # vertex counts are written as integers
         try:
-            params[key] = float(value) if "." in value else int(value)
+            params[key] = int(value) if count else float(value)
         except ValueError:
-            print(f"bad parameter {item!r}; expected KEY=VALUE with an integer "
-                  "or decimal value", file=sys.stderr)
+            want = f"{key} must be a positive integer" if count else "expected KEY=VALUE with a number"
+            print(f"bad parameter {item!r}: {want}", file=sys.stderr)
             return 2
     try:
         fix = make_fixture(args.name, **params)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,24 @@ class TestCompute:
         assert text.startswith("<?xml")
         assert "<polygon" in text and "<polyline" in text
         assert "</svg>" in text
+
+    @pytest.mark.parametrize("shift", [1e6, 1e9])
+    def test_svg_far_from_origin(self, capsys, tmp_path, shift):
+        # written from the viewport's corner: at six digits, absolute
+        # coordinates put all four vertices at 1e+06,1e+06
+        square = [[shift, shift], [shift + 1, shift], [shift + 1, shift + 1], [shift, shift + 1]]
+        path, svg = tmp_path / "far.json", tmp_path / "far.svg"
+        path.write_text(json.dumps({"vertices": square}))
+        code, _, _ = run(capsys, "compute", "--method", "interior-arc",
+                         "--input", str(path), "--svg", str(svg))
+        assert code == 0
+        text = svg.read_text()
+        assert 'viewBox="0 0 1.3 1.3"' in text
+        points = re.search(r'<polygon points="([^"]*)"', text).group(1).split()
+        assert len(set(points)) == 4
+        xy = [float(c) for p in points for c in p.split(",")]
+        # 0.15 of padding, y flipped
+        assert xy == pytest.approx([0.15, 1.15, 1.15, 1.15, 1.15, 0.15, 0.15, 0.15], abs=1e-6)
 
 
 class TestVerify:
@@ -260,6 +279,12 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--family", family, "--sizes", f"{lo}..{lo}")
         assert code == 0 and out.count("\n") == 1 + 4
 
+    def test_empty_range(self, capsys):
+        # rejected before the header, naming the range
+        code, out, err = run(capsys, "bench", "--family", "ngon", "--sizes", "5..3")
+        assert code == 2 and out == ""
+        assert err == "bad sizes range '5..3': it is empty\n"
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "bench", "--family", "torus",
                            "--sizes", "1..2")
@@ -311,6 +336,27 @@ class TestFixtureCommand:
         code, out, err = run(capsys, "fixture", "--name", "reuleaux-poly", "--param", "m=1.5")
         assert code == 2 and out == ""
         assert err.startswith("bad parameter") and "m must be a positive integer" in err
+
+    def test_exponent_form(self, capsys):
+        code, out, _ = run(capsys, "fixture", "--name", "regular-ngon", "--param", "r=1e-3")
+        assert code == 0
+        x, y = np.array(json.loads(out)["vertices"]).T
+        assert np.hypot(x, y) == pytest.approx(1e-3, rel=1e-12)
+        code, out, _ = run(capsys, "fixture", "--name", "rectangle", "--param", "b=1e3",
+                           "--param", "a=2E0")
+        assert code == 0
+        assert json.loads(out)["vertices"] == [[0, 0], [2, 0], [2, 1000], [0, 1000]]
+
+    @pytest.mark.parametrize("param", ["n=1e3", "n=6.0", "n=six"])
+    def test_count_written_as_integer(self, capsys, param):
+        code, out, err = run(capsys, "fixture", "--name", "regular-ngon", "--param", param)
+        assert code == 2 and out == ""
+        assert err == f"bad parameter {param!r}: n must be a positive integer\n"
+
+    def test_value_not_a_number(self, capsys):
+        code, out, err = run(capsys, "fixture", "--name", "rectangle", "--param", "b=wide")
+        assert code == 2 and out == ""
+        assert err == "bad parameter 'b=wide': expected KEY=VALUE with a number\n"
 
 
 def per_point(barrier):

@@ -7,10 +7,11 @@ however many critical directions there are, and a barrier with a
 polygon vertex outside its hull, or whose component hulls touch and
 whose hull holds the polygon, needs no directions at all: the hull test
 is O(n + m).  The interior-arc DP
-keeps two float rows, blocks of about ROW_BLOCK elements, and 2n bytes of
-flags for each row where a jump wins: on a regular polygon that is one
-row, and a 1500-vertex ellipse of aspect 1e-3 keeps every row, the 2n^2
-bytes the full choice tables took.  Polygon set-up (validation, the diameter, the minimum width)
+steps its rows in blocks of about ROW_BLOCK elements, and never more rows
+than the n - 2 it has, through one pair of float buffers, and keeps 2n
+bytes of flags for each row where a jump wins: on a regular polygon that
+is one row, and a 1500-vertex ellipse of aspect 1e-3 keeps every row, the
+2n^2 bytes the full choice tables took.  Polygon set-up (validation, the diameter, the minimum width)
 keeps a few O(n) arrays: a closed copy of the vertices and one far vertex
 window of three per edge.  Peaks are measured with tracemalloc and never
 timed: tracing slows Python loops many fold, so times are taken untraced.
@@ -79,10 +80,18 @@ def test_large_polygon_peak_memory(shape, method):
 
 
 def test_interior_arc_peak_memory():
-    # a jump wins only in the last row: two float rows, the walk's blocks
-    # and one flag row (2.1 MB); the two n x n bool choice tables alone
-    # took 128 MB
+    # a jump wins only in the last row: the blocks' buffers and one flag
+    # row (2.0 MB); the two n x n bool choice tables alone took 128 MB
     assert peak_bytes(interior_single_arc, regular_ngon(8192)) < 8 * MB
+
+
+@pytest.mark.parametrize("n", [40, 77])
+def test_interior_arc_small_peak_memory(n):
+    # a block holds the n - 2 rows there are: four float buffers of about
+    # n x n (32n^2 bytes) and the walk's temporaries, 82 and 293 KB
+    # measured; blocks of ROW_BLOCK // n rows took 1131 and 1193 KB
+    poly = random_convex_polygon(n, np.random.default_rng(n))
+    assert peak_bytes(interior_single_arc, poly) < 48 * n * n + 32 * 1024
 
 
 def test_interior_arc_thin_peak_memory():
